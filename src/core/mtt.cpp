@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 
@@ -408,19 +409,26 @@ void Mtt::label_prefix_ids(const std::uint32_t* ids, std::size_t n,
   }
 }
 
-Digest20 Mtt::child_label(std::uint32_t inner_index, int slot,
-                          const crypto::CommitmentPrf& prf) const {
+const Digest20* Mtt::stored_child_label(std::uint32_t inner_index, std::size_t slot) const {
   const Inner& node = inner_[inner_index];
-  std::size_t s = static_cast<std::size_t>(slot);
-  switch (node.kind[s]) {
-    case ChildKind::kInner: return inner_labels_[node.child[s]];
-    case ChildKind::kPrefix: return prefix_labels_[node.child[s]];
-    case ChildKind::kDummy:
-      return prf.dummy_label(dummy_prf_index(inner_path_[inner_index],
-                                             inner_depth_[inner_index], slot));
+  switch (node.kind[slot]) {
+    case ChildKind::kInner: return &inner_labels_[node.child[slot]];
+    case ChildKind::kPrefix: return &prefix_labels_[node.child[slot]];
+    case ChildKind::kDummy: return nullptr;
     case ChildKind::kNone: break;
   }
   throw std::logic_error("Mtt: unassigned child slot");
+}
+
+std::uint64_t Mtt::dummy_index(std::uint32_t inner_index, std::size_t slot) const {
+  return dummy_prf_index(inner_path_[inner_index], inner_depth_[inner_index],
+                         static_cast<int>(slot));
+}
+
+Digest20 Mtt::child_label(std::uint32_t inner_index, std::size_t slot,
+                          const crypto::CommitmentPrf& prf) const {
+  if (const Digest20* stored = stored_child_label(inner_index, slot)) return *stored;
+  return prf.dummy_label(dummy_index(inner_index, slot));
 }
 
 std::uint64_t Mtt::relabel_inner(std::uint32_t inner_index, const crypto::CommitmentPrf& prf) {
@@ -435,6 +443,91 @@ std::uint64_t Mtt::relabel_inner(std::uint32_t inner_index, const crypto::Commit
   return hashes;
 }
 
+void Mtt::label_inner_ids(const std::uint32_t* ids, std::size_t n,
+                          const crypto::CommitmentPrf& prf, bool multilane,
+                          std::uint64_t& hashes) {
+  if (!multilane) {
+    for (std::size_t i = 0; i < n; ++i) hashes += relabel_inner(ids[i], prf);
+    return;
+  }
+  // Batched: lay out each node's 60-byte child-label message, derive the
+  // chunk's dummy children with one dummy_label_batch call and scatter
+  // them into their slots, then hash all messages with one digest20_batch
+  // call.  Labels and hash accounting are identical to relabel_inner (one
+  // hash per node, one per dummy child).
+  constexpr std::size_t kNodeChunk = 256;
+  constexpr std::size_t kMsg = 3 * sizeof(Digest20);
+  std::uint8_t msgs[kNodeChunk * kMsg];
+  ByteSpan spans[kNodeChunk];
+  Digest20 labels[kNodeChunk];
+  std::uint64_t dummy_indices[3 * kNodeChunk];
+  std::uint8_t* dummy_slots[3 * kNodeChunk];
+  Digest20 dummies[3 * kNodeChunk];
+  for (std::size_t base = 0; base < n; base += kNodeChunk) {
+    const std::size_t c = std::min(kNodeChunk, n - base);
+    std::size_t m = 0;
+    for (std::size_t j = 0; j < c; ++j) {
+      const std::uint32_t id = ids[base + j];
+      std::uint8_t* msg = msgs + j * kMsg;
+      for (std::size_t s = 0; s < 3; ++s) {
+        std::uint8_t* dst = msg + s * sizeof(Digest20);
+        if (const Digest20* stored = stored_child_label(id, s)) {
+          std::memcpy(dst, stored->data(), sizeof(Digest20));
+        } else {
+          dummy_indices[m] = dummy_index(id, s);
+          dummy_slots[m++] = dst;
+        }
+      }
+      spans[j] = ByteSpan{msg, kMsg};
+    }
+    prf.dummy_label_batch(dummy_indices, m, dummies);
+    for (std::size_t d = 0; d < m; ++d) {
+      std::memcpy(dummy_slots[d], dummies[d].data(), sizeof(Digest20));
+    }
+    crypto::digest20_batch(spans, c, labels);
+    for (std::size_t j = 0; j < c; ++j) inner_labels_[ids[base + j]] = labels[j];
+    hashes += c + m;
+  }
+}
+
+std::uint64_t Mtt::label_nodes(const std::vector<std::uint32_t>& prefix_ids,
+                               const std::array<std::vector<std::uint32_t>, 33>& levels,
+                               const crypto::CommitmentPrf& prf, util::ThreadPool* pool,
+                               std::size_t chunks, bool multilane) {
+  std::atomic<std::uint64_t> hash_count{0};
+  {
+    // Phase 1 — prefix-node labels.  Each is independent (the "subtrees
+    // labeled completely by one thread" of §7.1; a prefix node's subtree
+    // is its k bit nodes), and this phase is most of the hashing.
+    SPIDER_OBS_SPAN(prefix_span, "core/mtt_label_prefixes");
+    std::atomic<std::size_t> submitted{0};
+    shard_range(pool, prefix_ids.size(), 256, chunks, [&](std::size_t start, std::size_t end) {
+      std::uint64_t hashes = 0;
+      label_prefix_ids(prefix_ids.data() + start, end - start, prf, multilane, hashes);
+      hash_count += hashes;
+      submitted += 1;
+    });
+    SPIDER_OBS_COUNT("core/mtt_parallel_chunks", submitted.load());
+  }
+
+  // Phase 2 — inner labels bottom-up, grouped by trie depth.  A node's
+  // children are strictly deeper, so each level depends only on deeper
+  // levels; within a level every node is independent, which is what lets
+  // a level shard across the pool and batch through the SHA-512 lanes (and
+  // tolerate the arbitrary index order left behind by free-list
+  // recycling).
+  SPIDER_OBS_SPAN(inner_span, "core/mtt_label_inner");
+  for (std::size_t depth = levels.size(); depth-- > 0;) {
+    const std::vector<std::uint32_t>& ids = levels[depth];
+    shard_range(pool, ids.size(), 1024, chunks, [&](std::size_t start, std::size_t end) {
+      std::uint64_t hashes = 0;
+      label_inner_ids(ids.data() + start, end - start, prf, multilane, hashes);
+      hash_count += hashes;
+    });
+  }
+  return hash_count.load();
+}
+
 void Mtt::compute_labels(const crypto::CommitmentPrf& prf, unsigned threads, bool multilane) {
   SPIDER_OBS_SPAN(label_span, "core/mtt_label");
   util::WallTimer label_timer;
@@ -443,50 +536,21 @@ void Mtt::compute_labels(const crypto::CommitmentPrf& prf, unsigned threads, boo
   labels_done_ = false;
   inner_labels_.assign(inner_.size(), Digest20{});
   prefix_labels_.assign(prefix_nodes_.size(), Digest20{});
-  std::atomic<std::uint64_t> hash_count{0};
 
   std::optional<util::ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
-  util::ThreadPool* pool_ptr = pool ? &*pool : nullptr;
-  const std::size_t chunks = static_cast<std::size_t>(threads) * 8;
 
-  // Phase 1 — prefix-node labels.  Each is independent (the "subtrees
-  // labeled completely by one thread" of §7.1; a prefix node's subtree is
-  // its k bit nodes), and this phase is ~95% of all hashing.
   std::vector<std::uint32_t> prefix_ids;
   prefix_ids.reserve(prefix_nodes_.size());
   for (std::uint32_t i = 0; i < prefix_nodes_.size(); ++i) {
     if (prefix_alive_[i]) prefix_ids.push_back(i);
   }
-  std::atomic<std::size_t> submitted{0};
-  shard_range(pool_ptr, prefix_ids.size(), 256, chunks,
-              [&](std::size_t start, std::size_t end) {
-                std::uint64_t hashes = 0;
-                label_prefix_ids(prefix_ids.data() + start, end - start, prf, multilane, hashes);
-                hash_count += hashes;
-                submitted += 1;
-              });
-  SPIDER_OBS_COUNT("core/mtt_parallel_chunks", submitted.load());
-
-  // Phase 2 — inner labels bottom-up, grouped by trie depth.  A node's
-  // children are strictly deeper, so each level depends only on deeper
-  // levels; within a level every node is independent, which is what lets
-  // this formerly serial pass shard across the pool (and tolerate the
-  // arbitrary index order left behind by free-list recycling).
   std::array<std::vector<std::uint32_t>, 33> levels;
   for (std::uint32_t i = 0; i < inner_.size(); ++i) {
     if (inner_alive_[i]) levels[inner_depth_[i]].push_back(i);
   }
-  for (std::size_t depth = levels.size(); depth-- > 0;) {
-    const std::vector<std::uint32_t>& ids = levels[depth];
-    shard_range(pool_ptr, ids.size(), 1024, chunks, [&](std::size_t start, std::size_t end) {
-      std::uint64_t hashes = 0;
-      for (std::size_t j = start; j < end; ++j) hashes += relabel_inner(ids[j], prf);
-      hash_count += hashes;
-    });
-  }
-
-  label_hashes_ = hash_count.load();
+  label_hashes_ = label_nodes(prefix_ids, levels, prf, pool ? &*pool : nullptr,
+                              static_cast<std::size_t>(threads) * 8, multilane);
   labels_done_ = true;
   SPIDER_OBS_COUNT("core/mtt_label_runs", 1);
   SPIDER_OBS_COUNT("core/mtt_nodes_labeled", prefix_ids.size() + inner_.size() - inner_free_.size());
@@ -545,34 +609,14 @@ std::uint64_t Mtt::apply(const std::vector<MttUpdate>& updates, const crypto::Co
   std::sort(dirty_inner.begin(), dirty_inner.end());
   dirty_inner.erase(std::unique(dirty_inner.begin(), dirty_inner.end()), dirty_inner.end());
 
-  std::atomic<std::uint64_t> hash_count{0};
   std::optional<util::ThreadPool> pool;
   if (threads > 1 && (dirty_prefix.size() >= 256 || dirty_inner.size() >= 1024)) {
     pool.emplace(threads);
   }
-  util::ThreadPool* pool_ptr = pool ? &*pool : nullptr;
-  const std::size_t chunks = static_cast<std::size_t>(threads) * 8;
-
-  shard_range(pool_ptr, dirty_prefix.size(), 256, chunks,
-              [&](std::size_t start, std::size_t end) {
-                std::uint64_t hashes = 0;
-                label_prefix_ids(dirty_prefix.data() + start, end - start, prf, multilane, hashes);
-                hash_count += hashes;
-              });
-
-  // Dirty inner nodes bottom-up by depth, sharded within each level.
   std::array<std::vector<std::uint32_t>, 33> levels;
   for (std::uint32_t id : dirty_inner) levels[inner_depth_[id]].push_back(id);
-  for (std::size_t depth = levels.size(); depth-- > 0;) {
-    const std::vector<std::uint32_t>& ids = levels[depth];
-    shard_range(pool_ptr, ids.size(), 1024, chunks, [&](std::size_t start, std::size_t end) {
-      std::uint64_t hashes = 0;
-      for (std::size_t j = start; j < end; ++j) hashes += relabel_inner(ids[j], prf);
-      hash_count += hashes;
-    });
-  }
-
-  label_hashes_ = hash_count.load();
+  label_hashes_ = label_nodes(dirty_prefix, levels, prf, pool ? &*pool : nullptr,
+                              static_cast<std::size_t>(threads) * 8, multilane);
   labels_done_ = true;
   SPIDER_OBS_COUNT("core/mtt_apply_runs", 1);
   SPIDER_OBS_COUNT("core/mtt_apply_updates", updates.size());
@@ -625,34 +669,47 @@ MttPrefixProof Mtt::prove(const crypto::CommitmentPrf& prf, const bgp::Prefix& p
     }
   }
   if (!have_material) {
-    // Derive the x value of each bit node exactly once (batched through
-    // the SHA-512 lanes) and reuse it for both the openings and the bit
-    // labels.
+    // Derive the x value of each bit node exactly once and reuse it for
+    // both the openings and the bit labels; the x values, the bit labels
+    // and the path's dummy labels each take one pass through the SHA-512
+    // lanes.
     std::vector<std::uint64_t> prf_indices(num_classes_);
-    for (std::uint32_t c = 0; c < num_classes_; ++c) prf_indices[c] = bit_prf_index(prefix, c);
+    std::vector<std::uint8_t> bits(num_classes_);
+    for (std::uint32_t c = 0; c < num_classes_; ++c) {
+      prf_indices[c] = bit_prf_index(prefix, c);
+      bits[c] = stored_bit(storage_base + c) ? 1 : 0;
+    }
     material.xs.resize(num_classes_);
     prf.bit_randomness_batch(prf_indices.data(), prf_indices.size(), material.xs.data());
-
-    material.bit_labels.reserve(num_classes_);
-    for (std::uint32_t c = 0; c < num_classes_; ++c) {
-      material.bit_labels.push_back(bit_leaf_hash(stored_bit(storage_base + c), material.xs[c]));
-    }
+    material.bit_labels.resize(num_classes_);
+    bit_leaf_hash_batch(bits.data(), material.xs.data(), num_classes_, material.bit_labels.data());
 
     // Path from the root to the prefix node's parent, recording the two
-    // non-path child labels at each level.
+    // non-path child labels at each level; dummy siblings are collected
+    // and derived together once the walk is done.
+    material.siblings.resize(static_cast<std::size_t>(prefix.length()) + 1);
+    std::array<std::uint64_t, 2 * 33> dummy_indices{};
+    std::array<Digest20*, 2 * 33> dummy_slots{};
+    std::size_t m = 0;
     std::uint32_t node = 0;
     for (std::uint8_t depth = 0; depth <= prefix.length(); ++depth) {
-      const Inner& inner = inner_[node];
-      int path_slot = mtt_path_slot(prefix, depth);
-      std::array<Digest20, 2> sibs{};
-      int out = 0;
-      for (int slot = 0; slot < 3; ++slot) {
-        if (slot == path_slot) continue;
-        sibs[static_cast<std::size_t>(out++)] = child_label(node, slot, prf);
+      const int path_slot = mtt_path_slot(prefix, depth);
+      std::size_t out = 0;
+      for (std::size_t slot = 0; slot < 3; ++slot) {
+        if (static_cast<int>(slot) == path_slot) continue;
+        Digest20& dst = material.siblings[depth][out++];
+        if (const Digest20* stored = stored_child_label(node, slot)) {
+          dst = *stored;
+        } else {
+          dummy_indices[m] = dummy_index(node, slot);
+          dummy_slots[m++] = &dst;
+        }
       }
-      material.siblings.push_back(sibs);
-      if (path_slot != kSlotE) node = inner.child[static_cast<std::size_t>(path_slot)];
+      if (path_slot != kSlotE) node = inner_[node].child[static_cast<std::size_t>(path_slot)];
     }
+    std::array<Digest20, 2 * 33> dummies{};
+    prf.dummy_label_batch(dummy_indices.data(), m, dummies.data());
+    for (std::size_t d = 0; d < m; ++d) *dummy_slots[d] = dummies[d];
     if (memo != nullptr) {
       std::lock_guard<std::mutex> lock(memo->mutex_);
       memo->entries_.emplace(prefix, material);
@@ -691,7 +748,14 @@ bool Mtt::verify(const Digest20& root, std::uint32_t num_classes, const MttPrefi
   return crypto::constant_time_equal(current, root);
 }
 
-std::size_t MttPrefixProof::byte_size() const { return encode().size(); }
+std::size_t MttPrefixProof::byte_size() const {
+  // encode()'s field widths: the prefix (u32 bits + u8 length), then each
+  // list as a u32 count followed by its entries — an opening is u32 class
+  // + u8 bit + digest, a sibling entry two digests.
+  constexpr std::size_t kDigest = sizeof(Digest20);
+  return (4 + 1) + 4 + revealed.size() * (4 + 1 + kDigest) + 4 + bit_labels.size() * kDigest +
+         4 + siblings.size() * 2 * kDigest;
+}
 
 util::Bytes MttPrefixProof::encode() const {
   util::ByteWriter w;

@@ -70,6 +70,7 @@ struct MttPrefixProof {
   /// child-slot order (0, 1, E minus the path slot).
   std::vector<std::array<Digest20, 2>> siblings;
 
+  /// encode().size(), computed from the field counts without encoding.
   std::size_t byte_size() const;
   util::Bytes encode() const;
   static MttPrefixProof decode(util::ByteSpan data);
@@ -197,7 +198,7 @@ class Mtt {
   /// prefix-label phase and the per-depth inner-label levels across a
   /// thread pool (paper §7.1: "we break the MTT into subtrees that are
   /// each labeled completely by one of the threads").  `multilane` runs
-  /// prefix labeling through the multi-lane SHA-512 batcher
+  /// both phases through the multi-lane SHA-512 batcher
   /// (crypto/sha2_multi.hpp) — same labels, same hash accounting, several
   /// digests per compression call; pass false to force the scalar path
   /// (the differential battery compares the two).  Any previously computed
@@ -270,14 +271,33 @@ class Mtt {
   /// Records the touched prefix in `touched` when the tree changed.
   void apply_structural(const MttUpdate& update, std::vector<bgp::Prefix>& touched);
 
-  Digest20 child_label(std::uint32_t inner_index, int slot,
+  /// Label of child `slot` of an inner node when it is materialized (an
+  /// inner or prefix node); nullptr for a dummy child, whose label comes
+  /// from the PRF at dummy_index(inner_index, slot).
+  const Digest20* stored_child_label(std::uint32_t inner_index, std::size_t slot) const;
+  std::uint64_t dummy_index(std::uint32_t inner_index, std::size_t slot) const;
+  Digest20 child_label(std::uint32_t inner_index, std::size_t slot,
                        const crypto::CommitmentPrf& prf) const;
-  /// Relabels one inner node from its children; returns hashes performed.
+  /// Relabels one inner node from its children with scalar digests;
+  /// returns hashes performed.
   std::uint64_t relabel_inner(std::uint32_t inner_index, const crypto::CommitmentPrf& prf);
-  /// Labels the prefix nodes in ids[start, end), scalar or via the lane
-  /// batcher; accumulates the hash count into `hashes`.
+  /// Labels the prefix nodes ids[0, n), scalar or via the lane batcher;
+  /// accumulates the hash count into `hashes`.
   void label_prefix_ids(const std::uint32_t* ids, std::size_t n, const crypto::CommitmentPrf& prf,
                         bool multilane, std::uint64_t& hashes);
+  /// Labels the inner nodes ids[0, n), all of one trie depth whose
+  /// children are already labeled, scalar (relabel_inner) or via the lane
+  /// batcher; accumulates the hash count into `hashes`.
+  void label_inner_ids(const std::uint32_t* ids, std::size_t n, const crypto::CommitmentPrf& prf,
+                       bool multilane, std::uint64_t& hashes);
+  /// The labeling pass shared by compute_labels() and the incremental
+  /// apply(): Phase 1 labels `prefix_ids`, Phase 2 labels the inner nodes
+  /// in `levels` (indexed by trie depth) bottom-up.  Shards each phase
+  /// across `pool` when one is given; returns the hashes performed.
+  std::uint64_t label_nodes(const std::vector<std::uint32_t>& prefix_ids,
+                            const std::array<std::vector<std::uint32_t>, 33>& levels,
+                            const crypto::CommitmentPrf& prf, util::ThreadPool* pool,
+                            std::size_t chunks, bool multilane);
   bool stored_bit(std::uint64_t bit_index) const;
 
   std::uint32_t num_classes_ = 0;

@@ -36,7 +36,12 @@ Digest20 CommitmentPrf::derive(char domain, std::uint64_t index) const {
 
 void CommitmentPrf::bit_randomness_batch(const std::uint64_t* indices, std::size_t n,
                                          Digest20* out) const {
-  // Same bytes as derive('x', index): seed || domain || big-endian index.
+  derive_batch('x', indices, n, out);
+}
+
+void CommitmentPrf::derive_batch(char domain, const std::uint64_t* indices, std::size_t n,
+                                 Digest20* out) const {
+  // Same bytes as derive(domain, index): seed || domain || big-endian index.
   constexpr std::size_t kChunk = 64;
   constexpr std::size_t kMsg = sizeof(seed_.data) + 9;
   std::uint8_t buf[kChunk * kMsg];
@@ -47,7 +52,7 @@ void CommitmentPrf::bit_randomness_batch(const std::uint64_t* indices, std::size
     for (std::size_t k = 0; k < g; ++k) {
       std::uint8_t* m = buf + k * kMsg;
       std::memcpy(m, seed_.data.data(), seed_.data.size());
-      m[32] = static_cast<std::uint8_t>('x');
+      m[32] = static_cast<std::uint8_t>(domain);
       const std::uint64_t index = indices[i + k];
       for (int b = 0; b < 8; ++b) m[33 + b] = static_cast<std::uint8_t>(index >> (56 - 8 * b));
       spans[k] = ByteSpan{m, kMsg};

@@ -214,18 +214,22 @@ void Sha512::update(ByteSpan data) {
 }
 
 Sha512::Digest Sha512::finish() {
-  // Counted here rather than in update(): finish() pads via byte-sized
-  // update() calls, which would both inflate the byte count and multiply
-  // the counter traffic in the labeling hot loop.
+  // Counted here rather than in update(), so the count is one per digest
+  // and the byte total is the message length without padding.
   SPIDER_OBS_COUNT("crypto/sha512_digests", 1);
   SPIDER_OBS_COUNT("crypto/sha512_bytes", total_len_);
-  std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad = 0x80;
-  update(ByteSpan{&pad, 1});
-  std::uint8_t zero = 0;
-  while (buffer_len_ != 112) update(ByteSpan{&zero, 1});
+  const std::uint64_t bit_len = total_len_ * 8;
+  // update() compresses every full block, so at least the marker byte fits.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 112) {
+    // The 16-byte length no longer fits behind the marker: zero-fill and
+    // compress this block, then put the length in a block of its own.
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    compress(buffer_.data());
+    buffer_len_ = 0;
+  }
   // 128-bit length: high 8 bytes are zero for any message under 2^61 bytes.
-  std::memset(buffer_.data() + 112, 0, 8);
+  std::memset(buffer_.data() + buffer_len_, 0, 120 - buffer_len_);
   store_be64(buffer_.data() + 120, bit_len);
   compress(buffer_.data());
   Digest out{};

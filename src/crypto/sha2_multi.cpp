@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 
 #include "crypto/sha2_kernel.hpp"
@@ -33,42 +34,47 @@ const Backend& backend() {
   return be;
 }
 
+/// The big-endian byte image of v as a native word: one bswap on
+/// little-endian hosts, so a memcpy of the result stores big-endian bytes.
+std::uint64_t to_be64(std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap64(v);
+  return v;
+}
+
 /// Per-lane padding tail: the final one or two blocks holding the message
-/// remainder, the 0x80 marker and the big-endian bit length.
+/// remainder, the 0x80 marker and the big-endian bit length.  Left
+/// uninitialized; build_tail writes every byte the compression reads.
 struct Tail {
-  std::array<std::uint8_t, 2 * kBlock> pad{};
-  std::size_t data_blocks = 0;
-  std::size_t tail_blocks = 0;
+  std::uint8_t pad[2 * kBlock];
+  std::size_t data_blocks;
 };
 
 void build_tail(ByteSpan msg, Tail& t) {
   const std::size_t rem = msg.size() % kBlock;
   t.data_blocks = msg.size() / kBlock;
-  t.tail_blocks = padded_blocks(msg.size()) - t.data_blocks;
-  if (rem != 0) std::memcpy(t.pad.data(), msg.data() + t.data_blocks * kBlock, rem);
+  const std::size_t tail_bytes = (padded_blocks(msg.size()) - t.data_blocks) * kBlock;
+  if (rem != 0) std::memcpy(t.pad, msg.data() + t.data_blocks * kBlock, rem);
   t.pad[rem] = 0x80;
-  // 128-bit big-endian length; the high 8 bytes stay zero for any message
-  // under 2^61 bytes (same assumption as the scalar class).
-  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
-  std::uint8_t* end = t.pad.data() + t.tail_blocks * kBlock;
-  for (int i = 0; i < 8; ++i) end[-1 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  // Zeros up to the 128-bit big-endian length, whose high 8 bytes stay
+  // zero for any message under 2^61 bytes (same assumption as the scalar
+  // class).
+  std::memset(t.pad + rem + 1, 0, tail_bytes - 8 - (rem + 1));
+  const std::uint64_t bits = to_be64(static_cast<std::uint64_t>(msg.size()) * 8);
+  std::memcpy(t.pad + tail_bytes - 8, &bits, sizeof(bits));
 }
 
 /// Hashes a group of g (2 <= g <= kMaxLanes) messages that all pad to the
-/// same block count; lanes past g re-hash the last message and are
-/// discarded.
-void run_group(const Backend& be, const ByteSpan* msgs, std::size_t g, Sha512::Digest* outs) {
+/// same block count into the first Out-size bytes of each digest; lanes
+/// past g re-hash the last message and are discarded.
+template <typename Out>
+void run_group(const Backend& be, const ByteSpan* msgs, std::size_t g, Out* outs) {
   std::uint64_t state[8][kMaxLanes];
   for (std::size_t w = 0; w < 8; ++w) {
     for (std::size_t l = 0; l < kMaxLanes; ++l) state[w][l] = detail::kSha512Iv[w];
   }
 
   Tail tails[kMaxLanes];
-  std::uint64_t total_bytes = 0;
-  for (std::size_t l = 0; l < g; ++l) {
-    build_tail(msgs[l], tails[l]);
-    total_bytes += msgs[l].size();
-  }
+  for (std::size_t l = 0; l < g; ++l) build_tail(msgs[l], tails[l]);
 
   const std::size_t nb = padded_blocks(msgs[0].size());
   const std::uint8_t* blocks[kMaxLanes] = {};
@@ -77,23 +83,57 @@ void run_group(const Backend& be, const ByteSpan* msgs, std::size_t g, Sha512::D
       const std::size_t src = l < g ? l : g - 1;
       const Tail& t = tails[src];
       blocks[l] = b < t.data_blocks ? msgs[src].data() + b * kBlock
-                                    : t.pad.data() + (b - t.data_blocks) * kBlock;
+                                    : t.pad + (b - t.data_blocks) * kBlock;
     }
     be.compress(state, blocks);
   }
 
+  constexpr std::size_t kOut = std::tuple_size_v<Out>;
+  static_assert(kOut <= Sha512::kDigestSize);
   for (std::size_t l = 0; l < g; ++l) {
-    for (std::size_t w = 0; w < 8; ++w) {
-      for (std::size_t i = 0; i < 8; ++i) {
-        outs[l][8 * w + i] = static_cast<std::uint8_t>(state[w][l] >> (56 - 8 * i));
-      }
+    std::uint8_t* dst = outs[l].data();
+    for (std::size_t w = 0; 8 * w < kOut; ++w) {
+      const std::uint64_t be_word = to_be64(state[w][l]);
+      std::memcpy(dst + 8 * w, &be_word, std::min<std::size_t>(8, kOut - 8 * w));
     }
   }
-  // The scalar class counts inside finish(); the lane path never reaches
-  // it, so account for the whole group here.
-  SPIDER_OBS_COUNT("crypto/sha512_digests", g);
-  SPIDER_OBS_COUNT("crypto/sha512_bytes", total_bytes);
-  SPIDER_OBS_COUNT("crypto/sha512_lane_groups", 1);
+}
+
+/// outs[i] = the first Out-size bytes of SHA-512(msgs[i]).  Greedily
+/// groups runs of messages with the same padded block count into lane
+/// groups; a message with no partner goes through the scalar class.
+template <typename Out>
+void hash_batch(const ByteSpan* msgs, std::size_t n, Out* outs) {
+  const Backend& be = backend();
+  std::uint64_t lane_digests = 0;
+  std::uint64_t lane_bytes = 0;
+  std::uint64_t lane_groups = 0;
+  std::size_t i = 0;
+  while (i < n) {
+    std::size_t j = i + 1;
+    if (be.lanes > 1) {
+      const std::size_t nb = padded_blocks(msgs[i].size());
+      while (j < n && j - i < be.lanes && padded_blocks(msgs[j].size()) == nb) ++j;
+    }
+    const std::size_t g = j - i;
+    if (g >= 2) {
+      run_group(be, msgs + i, g, outs + i);
+      lane_digests += g;
+      for (std::size_t k = i; k < j; ++k) lane_bytes += msgs[k].size();
+      ++lane_groups;
+    } else {
+      const Sha512::Digest full = Sha512::hash(msgs[i]);
+      std::memcpy(outs[i].data(), full.data(), outs[i].size());
+    }
+    i = j;
+  }
+  // The scalar class counts inside finish(); the lane groups never reach
+  // it, so account for them here, once per call.
+  if (lane_groups != 0) {
+    SPIDER_OBS_COUNT("crypto/sha512_digests", lane_digests);
+    SPIDER_OBS_COUNT("crypto/sha512_bytes", lane_bytes);
+    SPIDER_OBS_COUNT("crypto/sha512_lane_groups", lane_groups);
+  }
 }
 
 }  // namespace
@@ -101,39 +141,11 @@ void run_group(const Backend& be, const ByteSpan* msgs, std::size_t g, Sha512::D
 std::size_t sha512_lanes() { return backend().lanes; }
 
 void sha512_batch(const ByteSpan* msgs, std::size_t n, Sha512::Digest* outs) {
-  const Backend& be = backend();
-  std::size_t i = 0;
-  while (i < n) {
-    if (be.lanes == 1) {
-      outs[i] = Sha512::hash(msgs[i]);
-      ++i;
-      continue;
-    }
-    // Greedily extend a run of messages with the same padded block count.
-    const std::size_t nb = padded_blocks(msgs[i].size());
-    std::size_t j = i + 1;
-    while (j < n && j - i < be.lanes && padded_blocks(msgs[j].size()) == nb) ++j;
-    const std::size_t g = j - i;
-    if (g >= 2) {
-      run_group(be, msgs + i, g, outs + i);
-    } else {
-      outs[i] = Sha512::hash(msgs[i]);
-    }
-    i = j;
-  }
+  hash_batch(msgs, n, outs);
 }
 
 void digest20_batch(const ByteSpan* msgs, std::size_t n, Digest20* outs) {
-  std::array<Sha512::Digest, 64> full;
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t g = std::min(full.size(), n - i);
-    sha512_batch(msgs + i, g, full.data());
-    for (std::size_t k = 0; k < g; ++k) {
-      std::memcpy(outs[i + k].data(), full[k].data(), outs[i + k].size());
-    }
-    i += g;
-  }
+  hash_batch(msgs, n, outs);
 }
 
 }  // namespace spider::crypto

@@ -2,13 +2,14 @@
 // SIMD lanes (8-wide AVX-512, 4-wide AVX2, scalar otherwise).
 //
 // SPIDeR's labeling workload is millions of short, independent,
-// equal-length messages (41-byte PRF inputs, 21-byte leaf inputs, k*20-byte
-// prefix-node inputs), which is exactly the shape a lane-parallel
-// compression function wants: the batcher groups consecutive messages with
-// the same padded block count, runs one transposed compression per block
-// across the group, and falls back to the scalar streaming class for
-// leftovers.  Results are bit-identical to Sha512::hash on every input —
-// the differential battery (tests/test_crypto_diff.cpp) enforces this.
+// equal-length messages (41-byte PRF inputs, 21-byte leaf inputs, 60-byte
+// inner-node inputs, k*20-byte prefix-node inputs), which is exactly the
+// shape a lane-parallel compression function wants: the batcher groups
+// consecutive messages with the same padded block count, runs one
+// transposed compression per block across the group, and falls back to
+// the scalar streaming class for leftovers.  Results are bit-identical to
+// Sha512::hash on every input — the differential battery
+// (tests/test_crypto_diff.cpp) enforces this.
 #pragma once
 
 #include <cstddef>

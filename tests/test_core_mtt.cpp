@@ -321,6 +321,39 @@ TEST(Mtt, ProofEncodingRoundtrip) {
   EXPECT_EQ(proof.byte_size(), proof.encode().size());
 }
 
+TEST(Mtt, ByteSizeMatchesEncodingForRandomProofs) {
+  // byte_size() counts fields instead of encoding; check it against
+  // encode() over random trees, including the /0 and /32 path lengths and
+  // empty and all-class revealed sets.
+  su::SplitMix64 rng(4242);
+  for (int iter = 0; iter < 20; ++iter) {
+    const std::uint32_t k = 1 + static_cast<std::uint32_t>(rng.below(40));
+    std::map<sb::Prefix, std::vector<bool>> table;
+    table.emplace(sb::Prefix(0, 0), std::vector<bool>(k, true));
+    table.emplace(sb::Prefix(static_cast<std::uint32_t>(rng.next()), 32), std::vector<bool>(k));
+    while (table.size() < 2 + rng.below(60)) {
+      std::vector<bool> bits(k);
+      for (std::uint32_t c = 0; c < k; ++c) bits[c] = rng.below(2) == 1;
+      table.emplace(sb::Prefix(static_cast<std::uint32_t>(rng.next()),
+                               static_cast<std::uint8_t>(rng.below(33))),
+                    bits);
+    }
+    auto tree = sc::Mtt::build({table.begin(), table.end()}, k);
+    auto p = prf("byte-size");
+    tree.compute_labels(p);
+    for (const auto& [prefix, bits] : table) {
+      std::vector<sc::ClassId> classes;
+      const std::uint64_t shape = rng.below(3);
+      for (sc::ClassId c = 0; c < k; ++c) {
+        if (shape == 1 || (shape == 2 && rng.below(2) == 1)) classes.push_back(c);
+      }
+      const auto proof = tree.prove(p, prefix, classes);
+      EXPECT_EQ(proof.byte_size(), proof.encode().size())
+          << prefix.str() << " revealing " << classes.size() << " of " << k;
+    }
+  }
+}
+
 TEST(Mtt, ProofSizeMatchesPaperApproximation) {
   // Paper §7.3: "each bit proof with k indifference classes contributes k
   // hashes, or 20k bytes, plus potentially some hashes of dummy nodes".

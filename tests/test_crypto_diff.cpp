@@ -11,6 +11,9 @@
 // tests up via `ctest -R Tsan`.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -431,30 +434,123 @@ TEST(CryptoDiffLabels, LeafHashBatchMatchesScalar) {
   }
 }
 
-TEST(CryptoDiffLabels, MttMultilaneLabelingMatchesScalar) {
-  SplitMix64 rng(77);
-  std::vector<std::pair<sb::Prefix, std::vector<bool>>> entries;
-  const std::uint32_t k = 13;
-  for (int i = 0; i < 85; ++i) {
-    std::uint32_t addr = static_cast<std::uint32_t>(rng.next());
-    std::uint8_t len = static_cast<std::uint8_t>(8 + rng.below(17));
-    sb::Prefix p{addr, len};
-    bool dup = false;
-    for (const auto& e : entries) dup = dup || e.first == p;
-    if (dup) continue;
-    std::vector<bool> bits(k);
-    for (std::uint32_t c = 0; c < k; ++c) bits[c] = rng.below(2) == 1;
-    entries.emplace_back(p, bits);
+namespace {
+
+std::vector<bool> random_bits(SplitMix64& rng, std::uint32_t k) {
+  std::vector<bool> bits(k);
+  for (std::uint32_t c = 0; c < k; ++c) bits[c] = rng.below(2) == 1;
+  return bits;
+}
+
+/// A random prefix: a quarter /32s, the rest /8../24.
+sb::Prefix random_prefix(SplitMix64& rng) {
+  const auto addr = static_cast<std::uint32_t>(rng.next());
+  return sb::Prefix{addr, static_cast<std::uint8_t>(rng.below(4) == 0 ? 32 : 8 + rng.below(17))};
+}
+
+/// Proves every prefix of `table` from both trees, with and without a
+/// memo (the memo pass runs twice, a miss then a hit), and expects
+/// byte-identical encodings.  The lane tree's proofs must also verify
+/// against the scalar tree's root and carry the x values and bit labels
+/// of the scalar PRF and leaf hash.  Revealed sets cycle through empty,
+/// all classes and a random subset.
+void expect_same_proofs(const core::Mtt& lanes, const core::Mtt& scalar,
+                        const sc::CommitmentPrf& prf,
+                        const std::map<sb::Prefix, std::vector<bool>>& table, std::uint32_t k,
+                        SplitMix64& rng) {
+  core::MttProofMemo lane_memo;
+  core::MttProofMemo scalar_memo;
+  std::size_t i = 0;
+  for (const auto& [prefix, bits] : table) {
+    std::vector<core::ClassId> classes;
+    for (core::ClassId c = 0; c < k; ++c) {
+      if (i % 3 == 1 || (i % 3 == 2 && rng.below(2) == 1)) classes.push_back(c);
+    }
+    ++i;
+    const Bytes expected = scalar.prove(prf, prefix, classes).encode();
+    const core::MttPrefixProof proof = lanes.prove(prf, prefix, classes);
+    EXPECT_EQ(proof.encode(), expected) << prefix.str();
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(lanes.prove(prf, prefix, classes, &lane_memo).encode(), expected) << prefix.str();
+      EXPECT_EQ(scalar.prove(prf, prefix, classes, &scalar_memo).encode(), expected)
+          << prefix.str();
+    }
+    EXPECT_TRUE(core::Mtt::verify(scalar.root_label(), k, proof)) << prefix.str();
+    for (const auto& opened : proof.revealed) {
+      EXPECT_EQ(opened.x, prf.bit_randomness(core::Mtt::bit_prf_index(prefix, opened.cls)));
+    }
+    for (core::ClassId c = 0; c < k; ++c) {
+      const Digest20 x = prf.bit_randomness(core::Mtt::bit_prf_index(prefix, c));
+      EXPECT_EQ(proof.bit_labels[c], core::bit_leaf_hash(bits[c], x)) << prefix.str() << " " << c;
+    }
   }
+}
+
+}  // namespace
+
+TEST(CryptoDiffLabels, MttMultilaneLabelingMatchesScalar) {
+  // 2,400 prefixes, so the crowded depths fill whole 256-node inner-label
+  // chunks and exceed the 1,024-node threshold at which a level shards
+  // across the pool; /0 and /32 entries cover the shortest and longest
+  // paths.  The oracle is a tree labeled with multilane=false.
+  SplitMix64 rng(77);
+  const std::uint32_t k = 13;
+  std::map<sb::Prefix, std::vector<bool>> table;
+  table.emplace(sb::Prefix{0, 0}, random_bits(rng, k));
+  while (table.size() < 2400) table.emplace(random_prefix(rng), random_bits(rng, k));
+  const std::vector<std::pair<sb::Prefix, std::vector<bool>>> entries(table.begin(), table.end());
   sc::CommitmentPrf prf(sc::seed_from_string("diff-mtt"));
 
-  auto lane_tree = core::Mtt::build(entries, k);
-  lane_tree.compute_labels(prf, /*threads=*/1, /*multilane=*/true);
   auto scalar_tree = core::Mtt::build(entries, k);
   scalar_tree.compute_labels(prf, /*threads=*/1, /*multilane=*/false);
+  const std::vector<unsigned> thread_counts = {1, 4};
+  std::vector<core::Mtt> lane_trees;
+  for (unsigned threads : thread_counts) {
+    SCOPED_TRACE(threads);
+    lane_trees.push_back(core::Mtt::build(entries, k));
+    lane_trees.back().compute_labels(prf, threads, /*multilane=*/true);
+    EXPECT_EQ(lane_trees.back().root_label(), scalar_tree.root_label());
+    EXPECT_EQ(lane_trees.back().last_label_hashes(), scalar_tree.last_label_hashes());
+    expect_same_proofs(lane_trees.back(), scalar_tree, prf, table, k, rng);
+  }
 
-  EXPECT_EQ(lane_tree.root_label(), scalar_tree.root_label());
-  EXPECT_EQ(lane_tree.last_label_hashes(), scalar_tree.last_label_hashes());
+  // Incremental relabeling: rounds of random inserts, removals and bit
+  // flips, applied to every tree under the same PRF.
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    std::vector<core::MttUpdate> updates;
+    for (int u = 0; u < 400; ++u) {
+      const std::uint64_t op = rng.below(3);
+      if (op == 0 || table.empty()) {
+        const sb::Prefix prefix = random_prefix(rng);
+        table[prefix] = random_bits(rng, k);
+        updates.push_back({prefix, table[prefix]});
+        continue;
+      }
+      auto it = table.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.below(table.size())));
+      if (op == 1) {
+        updates.push_back({it->first, std::nullopt});
+        table.erase(it);
+      } else {
+        const std::size_t flip = rng.below(k);
+        it->second[flip] = !it->second[flip];
+        updates.push_back({it->first, it->second});
+      }
+    }
+    scalar_tree.apply(updates, prf, /*threads=*/1, /*multilane=*/false);
+    for (std::size_t t = 0; t < thread_counts.size(); ++t) {
+      SCOPED_TRACE(thread_counts[t]);
+      lane_trees[t].apply(updates, prf, thread_counts[t], /*multilane=*/true);
+      EXPECT_EQ(lane_trees[t].root_label(), scalar_tree.root_label());
+      EXPECT_EQ(lane_trees[t].last_label_hashes(), scalar_tree.last_label_hashes());
+      expect_same_proofs(lane_trees[t], scalar_tree, prf, table, k, rng);
+    }
+  }
+  // The incremental trees still label like a fresh build of the final table.
+  auto fresh = core::Mtt::build({table.begin(), table.end()}, k);
+  fresh.compute_labels(prf, /*threads=*/1, /*multilane=*/false);
+  EXPECT_EQ(fresh.root_label(), scalar_tree.root_label());
 }
 
 // -------------------------------------------------------- concurrency

@@ -1,6 +1,6 @@
 // Unit tests for the observability layer: exact concurrent counter sums,
 // histogram bucket boundaries, snapshot JSON round-trips, span nesting,
-// and the Prometheus text dump.
+// the Prometheus text dump, and the SHA-512 batcher's digest counters.
 //
 // The registry is process-global, so every test isolates itself with
 // MetricsRegistry::reset() and uses test-unique metric names.
@@ -10,10 +10,12 @@
 #include <thread>
 #include <vector>
 
+#include "crypto/sha2_multi.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/span.hpp"
+#include "util/rng.hpp"
 
 namespace so = spider::obs;
 namespace json = spider::obs::json;
@@ -260,4 +262,34 @@ TEST(Prometheus, TextDumpShape) {
   EXPECT_NE(text.find("spider_test_prom_lat_bucket{le=\"+Inf\"} 1"), std::string::npos);
   EXPECT_NE(text.find("spider_test_prom_lat_sum 42"), std::string::npos);
   EXPECT_NE(text.find("spider_test_prom_lat_count 1"), std::string::npos);
+}
+
+TEST(CryptoCounters, BatchCountsEveryDigestOnce) {
+  // Mixed lengths: runs of equal padded block counts go through the lanes,
+  // stragglers through the scalar class, and both must count each message
+  // exactly once however the batcher groups them.
+  spider::util::SplitMix64 rng(2718);
+  std::vector<spider::util::Bytes> msgs;
+  std::uint64_t total_bytes = 0;
+  for (int i = 0; i < 101; ++i) {
+    const std::size_t len = i % 7 == 0 ? 0 : rng.below(300);
+    msgs.emplace_back(len, static_cast<std::uint8_t>(i));
+    total_bytes += len;
+  }
+  std::vector<spider::util::ByteSpan> spans;
+  for (const auto& m : msgs) spans.emplace_back(m.data(), m.size());
+
+  registry().reset();
+  std::vector<spider::crypto::Sha512::Digest> full(spans.size());
+  spider::crypto::sha512_batch(spans.data(), spans.size(), full.data());
+  auto snap = registry().snapshot();
+  EXPECT_EQ(snap.counters["crypto/sha512_digests"], msgs.size());
+  EXPECT_EQ(snap.counters["crypto/sha512_bytes"], total_bytes);
+
+  registry().reset();
+  std::vector<spider::util::Digest20> truncated(spans.size());
+  spider::crypto::digest20_batch(spans.data(), spans.size(), truncated.data());
+  snap = registry().snapshot();
+  EXPECT_EQ(snap.counters["crypto/sha512_digests"], msgs.size());
+  EXPECT_EQ(snap.counters["crypto/sha512_bytes"], total_bytes);
 }
