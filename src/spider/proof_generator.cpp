@@ -99,51 +99,16 @@ ProofGenerator::Reconstruction ProofGenerator::reconstruct(Time commit_time,
   recon.seed = record->seed;
   recon.state = MirrorState::deserialize_chunked(checkpoint->chunks);
 
+  // Replay the logged message trace (§6.5), noting each producer's
+  // in-window input history (§6.4) as it goes.
   const Time window_start = commit_time - recorder_.config().delta;
-  auto note_window = [&](bgp::AsNumber from, const bgp::Prefix& prefix, Time t) {
-    if (t <= window_start) return;
-    const InputRecord* before = recon.state.input(from, prefix);
-    auto& candidates = recon.window_candidates[{from, prefix}];
-    candidates.push_back(before ? std::optional<bgp::Route>(before->route) : std::nullopt);
-  };
-
-  // Replay the logged message trace (§6.5).
-  for (const LogEntry* entry : log.entries_between(checkpoint->timestamp, commit_time)) {
-    core::SignedEnvelope envelope = core::SignedEnvelope::decode(entry->message);
-    SpiderBatch batch = SpiderBatch::decode(envelope.payload);
-    for (const SpiderBatch::Part& part : batch.parts) {
-      switch (part.type) {
-        case SpiderMsgType::kAnnounce: {
-          SpiderAnnounce announce = SpiderAnnounce::decode(part.body);
-          if (announce.re_announce) break;  // never replayed in place of originals
-          if (entry->direction == LogDirection::kReceived) {
-            // Mirror the live recorder's acceptance rule exactly — a part
-            // the recorder rejected for timing must not resurface here.
-            if (!announce_timely(announce.timestamp, entry->timestamp, recorder_.config())) break;
-            note_window(announce.from_as, announce.route.prefix, entry->timestamp);
-            recon.state.apply_announce_in(announce, crypto::digest20(part.body));
-          } else {
-            recon.state.apply_announce_out(announce);
-          }
-          break;
-        }
-        case SpiderMsgType::kWithdraw: {
-          SpiderWithdraw withdraw = SpiderWithdraw::decode(part.body);
-          if (entry->direction == LogDirection::kReceived) {
-            note_window(withdraw.from_as, withdraw.prefix, entry->timestamp);
-            recon.state.apply_withdraw_in(withdraw);
-          } else {
-            recon.state.apply_withdraw_out(withdraw);
-          }
-          break;
-        }
-        case SpiderMsgType::kAck:
-        case SpiderMsgType::kCommit:
-        case SpiderMsgType::kReAnnounce:
-          break;
-      }
-    }
-  }
+  replay_log(log, checkpoint->timestamp, commit_time, recorder_.config(), recon.state,
+             [&](bgp::AsNumber from, const bgp::Prefix& prefix, Time arrival) {
+               if (arrival <= window_start) return;
+               const InputRecord* before = recon.state.input(from, prefix);
+               recon.window_candidates[{from, prefix}].push_back(
+                   before ? std::optional<bgp::Route>(before->route) : std::nullopt);
+             });
 
   // Final in-window value completes each candidate list.
   for (auto& [key, candidates] : recon.window_candidates) {
@@ -168,15 +133,7 @@ ProofGenerator::Reconstruction ProofGenerator::reconstruct(Time commit_time,
 
 ProducerProofs ProofGenerator::proofs_for_producer(const Reconstruction& recon,
                                                    bgp::AsNumber producer,
-                                                   std::optional<bgp::Prefix> within) const {
-  return proofs_for_producer(recon, producer, within, nullptr);
-}
-
-ProducerProofs ProofGenerator::proofs_for_producer(const Reconstruction& recon,
-                                                   bgp::AsNumber producer,
-                                                   std::optional<bgp::Prefix> within,
-                                                   const std::set<bgp::Prefix>* subset,
-                                                   core::MttProofMemo* memo) const {
+                                                   const ProofOptions& options) const {
   ProducerProofs proofs;
   proofs.commit_time = recon.commit_time;
   if (faults_.withhold_producer_proofs) return proofs;
@@ -187,8 +144,8 @@ ProducerProofs ProofGenerator::proofs_for_producer(const Reconstruction& recon,
   if (inputs_it == recon.state.inputs().end()) return proofs;
 
   for (const auto& [prefix, record] : inputs_it->second) {
-    if (within && !within->contains(prefix)) continue;
-    if (subset != nullptr && subset->count(prefix) == 0) continue;
+    if (options.within && !options.within->contains(prefix)) continue;
+    if (options.subset != nullptr && options.subset->count(prefix) == 0) continue;
     // Loose sync (§6.4): the elector may justify itself against any
     // in-window value from this producer that would not have been
     // preferred over the actual output.  We scan newest-first, so when the
@@ -217,7 +174,7 @@ ProducerProofs ProofGenerator::proofs_for_producer(const Reconstruction& recon,
     if (faults_.misclassify_producer) {
       item.cls = (item.cls + 1) % recorder_.config().num_classes;
     }
-    item.proof = recon.tree.prove(prf, prefix, {item.cls}, memo);
+    item.proof = recon.tree.prove(prf, prefix, {item.cls}, options.memo);
     if (faults_.tamper_classes.count(item.cls) != 0) {
       item.proof.revealed[0].bit = !item.proof.revealed[0].bit;
     }
@@ -230,15 +187,7 @@ ProducerProofs ProofGenerator::proofs_for_producer(const Reconstruction& recon,
 
 ConsumerProofs ProofGenerator::proofs_for_consumer(const Reconstruction& recon,
                                                    bgp::AsNumber consumer,
-                                                   std::optional<bgp::Prefix> within) const {
-  return proofs_for_consumer(recon, consumer, within, nullptr);
-}
-
-ConsumerProofs ProofGenerator::proofs_for_consumer(const Reconstruction& recon,
-                                                   bgp::AsNumber consumer,
-                                                   std::optional<bgp::Prefix> within,
-                                                   const std::set<bgp::Prefix>* subset,
-                                                   core::MttProofMemo* memo) const {
+                                                   const ProofOptions& options) const {
   ConsumerProofs proofs;
   proofs.commit_time = recon.commit_time;
   const crypto::CommitmentPrf prf(recon.seed);
@@ -251,8 +200,8 @@ ConsumerProofs ProofGenerator::proofs_for_consumer(const Reconstruction& recon,
   if (exports_it == recon.state.exports().end()) return proofs;
 
   for (const auto& [prefix, record] : exports_it->second) {
-    if (within && !within->contains(prefix)) continue;
-    if (subset != nullptr && subset->count(prefix) == 0) continue;
+    if (options.within && !options.within->contains(prefix)) continue;
+    if (options.subset != nullptr && options.subset->count(prefix) == 0) continue;
     bgp::Route underlying = underlying_route(record.route, recorder_.config().asn);
     core::ClassId cls = classifier.classify(underlying);
     std::vector<core::ClassId> better = promise_it->second.classes_better_than(cls);
@@ -260,7 +209,7 @@ ConsumerProofs ProofGenerator::proofs_for_consumer(const Reconstruction& recon,
     ConsumerProofs::Item item;
     item.prefix = prefix;
     item.offered_route = record.route;
-    item.proof = recon.tree.prove(prf, prefix, better, memo);
+    item.proof = recon.tree.prove(prf, prefix, better, options.memo);
     for (auto& opened : item.proof.revealed) {
       if (faults_.tamper_classes.count(opened.cls) != 0) opened.bit = !opened.bit;
     }

@@ -70,6 +70,24 @@ struct ReAnnounceSet {
   std::vector<SpiderAnnounce> announcements;  // re_announce = true
 };
 
+/// Restrictions on one proofs_for_producer / proofs_for_consumer call.
+struct ProofOptions {
+  /// Proves only prefixes inside this covering prefix — the §7.3
+  /// suggestion for keeping proof sizes down ("its neighbors could trigger
+  /// verification for smaller subtrees, e.g., all prefixes in 32.0.0/8").
+  /// nullopt = everything.
+  std::optional<bgp::Prefix> within;
+  /// Proves only prefixes in this set (one challenge round's worth in a
+  /// pipelined session, src/verify).  The union of the proofs over a
+  /// partition of the prefix space equals the unrestricted proof set
+  /// item-for-item.  nullptr = no restriction.
+  const std::set<bgp::Prefix>* subset = nullptr;
+  /// Caches the class-independent proof material across calls against the
+  /// same reconstruction — a session proves each prefix once per neighbor
+  /// role, so the memo collapses the repeat PRF/digest work.  Optional.
+  core::MttProofMemo* memo = nullptr;
+};
+
 class ProofGenerator {
  public:
   struct Faults {
@@ -105,30 +123,12 @@ class ProofGenerator {
   /// std::invalid_argument when no commitment/checkpoint covers T.
   Reconstruction reconstruct(Time commit_time, unsigned threads = 1) const;
 
-  /// `within` restricts the proofs to prefixes inside one covering prefix
-  /// — the §7.3 suggestion for keeping proof sizes down ("its neighbors
-  /// could trigger verification for smaller subtrees, e.g., all prefixes
-  /// in 32.0.0/8").  nullopt = everything.
+  /// Per-neighbor proof sets.  The defaults prove everything the
+  /// neighbor is owed; see ProofOptions for the restrictions.
   ProducerProofs proofs_for_producer(const Reconstruction& recon, bgp::AsNumber producer,
-                                     std::optional<bgp::Prefix> within = std::nullopt) const;
+                                     const ProofOptions& options = {}) const;
   ConsumerProofs proofs_for_consumer(const Reconstruction& recon, bgp::AsNumber consumer,
-                                     std::optional<bgp::Prefix> within = std::nullopt) const;
-
-  /// Round-restricted variants for pipelined sessions (src/verify): emit
-  /// proofs only for prefixes in `subset` (one challenge round's worth).
-  /// The union of the proofs over a partition of the prefix space equals
-  /// the unrestricted proof set item-for-item.  `memo` (optional) caches
-  /// the class-independent proof material across calls against the same
-  /// reconstruction — a session proves each prefix once per neighbor
-  /// role, so the memo collapses the repeat PRF/digest work.
-  ProducerProofs proofs_for_producer(const Reconstruction& recon, bgp::AsNumber producer,
-                                     std::optional<bgp::Prefix> within,
-                                     const std::set<bgp::Prefix>* subset,
-                                     core::MttProofMemo* memo = nullptr) const;
-  ConsumerProofs proofs_for_consumer(const Reconstruction& recon, bgp::AsNumber consumer,
-                                     std::optional<bgp::Prefix> within,
-                                     const std::set<bgp::Prefix>* subset,
-                                     core::MttProofMemo* memo = nullptr) const;
+                                     const ProofOptions& options = {}) const;
 
   /// Elector side of extended verification: from the producers'
   /// RE-ANNOUNCE sets, select those matching the routes that were exported

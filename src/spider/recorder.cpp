@@ -29,6 +29,47 @@ bool announce_timely(Time announce_timestamp, Time local_arrival, const Recorder
   return age >= -config.max_clock_skew && age <= late_budget;
 }
 
+void replay_log(const MessageLog& log, Time after, Time until, const RecorderConfig& config,
+                MirrorState& state, const ReplayInputHook& before_input) {
+  for (const LogEntry* entry : log.entries_between(after, until)) {
+    const bool received = entry->direction == LogDirection::kReceived;
+    SpiderBatch batch;
+    try {
+      batch = SpiderBatch::decode(core::SignedEnvelope::decode(entry->message).payload);
+    } catch (const util::DecodeError&) {
+      continue;
+    }
+    for (const SpiderBatch::Part& part : batch.parts) {
+      try {
+        if (part.type == SpiderMsgType::kAnnounce) {
+          SpiderAnnounce announce = SpiderAnnounce::decode(part.body);
+          if (announce.re_announce) continue;
+          if (!received) {
+            state.apply_announce_out(announce);
+            continue;
+          }
+          if (announce.from_as != entry->peer_as || announce.to_as != config.asn ||
+              !announce_timely(announce.timestamp, entry->timestamp, config)) {
+            continue;
+          }
+          if (before_input) before_input(announce.from_as, announce.route.prefix, entry->timestamp);
+          state.apply_announce_in(announce, crypto::digest20(part.body));
+        } else if (part.type == SpiderMsgType::kWithdraw) {
+          SpiderWithdraw withdraw = SpiderWithdraw::decode(part.body);
+          if (!received) {
+            state.apply_withdraw_out(withdraw);
+            continue;
+          }
+          if (withdraw.from_as != entry->peer_as || withdraw.to_as != config.asn) continue;
+          if (before_input) before_input(withdraw.from_as, withdraw.prefix, entry->timestamp);
+          state.apply_withdraw_in(withdraw);
+        }
+      } catch (const util::DecodeError&) {
+      }
+    }
+  }
+}
+
 void Recorder::add_neighbor(bgp::AsNumber neighbor_as) { neighbors_.insert(neighbor_as); }
 
 void Recorder::set_promise(bgp::AsNumber consumer, core::Promise promise) {
@@ -91,51 +132,7 @@ void Recorder::restore_from(MessageLog log) {
   if (!checkpoint) throw std::invalid_argument("Recorder: log has no checkpoint to restore from");
   state_ = MirrorState::deserialize_chunked(checkpoint->chunks);
 
-  // Replay everything logged after the checkpoint, with exactly the live
-  // acceptance rules (a part the pre-crash recorder rejected for timing
-  // must not resurface in the restored mirror).
-  for (const LogEntry* entry :
-       log_.entries_between(checkpoint->timestamp, std::numeric_limits<Time>::max())) {
-    core::SignedEnvelope envelope;
-    SpiderBatch batch;
-    try {
-      envelope = core::SignedEnvelope::decode(entry->message);
-      batch = SpiderBatch::decode(envelope.payload);
-    } catch (const util::DecodeError&) {
-      continue;
-    }
-    for (const SpiderBatch::Part& part : batch.parts) {
-      try {
-        switch (part.type) {
-          case SpiderMsgType::kAnnounce: {
-            SpiderAnnounce announce = SpiderAnnounce::decode(part.body);
-            if (announce.re_announce) break;
-            if (entry->direction == LogDirection::kReceived) {
-              if (!announce_timely(announce.timestamp, entry->timestamp, config_)) break;
-              state_.apply_announce_in(announce, crypto::digest20(part.body));
-            } else {
-              state_.apply_announce_out(announce);
-            }
-            break;
-          }
-          case SpiderMsgType::kWithdraw: {
-            SpiderWithdraw withdraw = SpiderWithdraw::decode(part.body);
-            if (entry->direction == LogDirection::kReceived) {
-              state_.apply_withdraw_in(withdraw);
-            } else {
-              state_.apply_withdraw_out(withdraw);
-            }
-            break;
-          }
-          case SpiderMsgType::kAck:
-          case SpiderMsgType::kCommit:
-          case SpiderMsgType::kReAnnounce:
-            break;
-        }
-      } catch (const util::DecodeError&) {
-      }
-    }
-  }
+  replay_log(log_, checkpoint->timestamp, std::numeric_limits<Time>::max(), config_, state_);
 
   // The live tree (if any) described the pre-restore mirror; drop it.
   live_tree_valid_ = false;
@@ -389,6 +386,13 @@ void Recorder::process_batch(bgp::AsNumber from, const core::SignedEnvelope& env
           SpiderAnnounce announce = SpiderAnnounce::decode(part.body);
           if (announce.from_as != from || announce.to_as != config_.asn) {
             alarm("announce with wrong endpoints from AS" + std::to_string(from));
+            break;
+          }
+          if (announce.re_announce) {
+            // §6.6 re-announcements belong to extended verification; one in
+            // the live stream never enters the mirror (nor does replay
+            // apply it).
+            alarm("re-announcement in the live stream from AS" + std::to_string(from));
             break;
           }
           if (!announce_timely(announce.timestamp, local_now(), config_)) {

@@ -100,6 +100,22 @@ struct RecorderConfig {
 /// local_now), so the two paths cannot diverge on acceptance.
 bool announce_timely(Time announce_timestamp, Time local_arrival, const RecorderConfig& config);
 
+/// Runs before replay_log applies an accepted received input (an
+/// announce or withdraw from neighbor `from`, logged at `arrival`).
+using ReplayInputHook =
+    std::function<void(bgp::AsNumber from, const bgp::Prefix& prefix, Time arrival)>;
+
+/// The replay half of checkpoint+replay (§6.5): applies the batches `log`
+/// holds in (after, until] to `state` under the live recorder's acceptance
+/// rules.  The live recorder logs a received batch whole once any one part
+/// is accepted, so the log also holds the parts it rejected; replay skips
+/// exactly those — undecodable envelopes and parts, parts naming other
+/// endpoints than the logging peer and this AS, untimely announces (judged
+/// at the logged arrival time), and re-announcements.  Crash restore and
+/// proof generation both rebuild their mirrors through this one function.
+void replay_log(const MessageLog& log, Time after, Time until, const RecorderConfig& config,
+                MirrorState& state, const ReplayInputHook& before_input = {});
+
 /// The recorder is written against the transport plane (transport.hpp),
 /// never the simulator: the same protocol object runs inside the
 /// deterministic netsim (NetsimTransport, tests and the chaos matrix) and

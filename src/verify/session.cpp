@@ -312,13 +312,12 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
   core::MttProofMemo proof_memo;
   core::MttProofMemo* memo = config.use_cache ? &proof_memo : nullptr;
   auto run_round = [&](RoundTask& task) {
+    const proto::ProofOptions options{within, task.subset ? &*task.subset : nullptr, memo};
     if (task.role == Role::kProducer) {
-      task.producer = generator.proofs_for_producer(recon, task.neighbor, within,
-                                                    task.subset ? &*task.subset : nullptr, memo);
+      task.producer = generator.proofs_for_producer(recon, task.neighbor, options);
       task.payload = task.producer.encode();
     } else {
-      task.consumer = generator.proofs_for_consumer(recon, task.neighbor, within,
-                                                    task.subset ? &*task.subset : nullptr, memo);
+      task.consumer = generator.proofs_for_consumer(recon, task.neighbor, options);
       task.payload = task.consumer.encode();
     }
     task.bundle = round_bundle_bytes(elector, commit_time, task);

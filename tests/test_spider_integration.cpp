@@ -10,6 +10,7 @@
 #include "spider/checker.hpp"
 #include "spider/deployment.hpp"
 #include "spider/proof_generator.hpp"
+#include "spider/verification.hpp"
 
 namespace sp = spider::proto;
 namespace sc = spider::core;
@@ -136,6 +137,85 @@ TEST(SpiderIntegration, ReplayReconstructsIdenticalRoot) {
   EXPECT_EQ(recon.tree.root_label(), record.root);
   // And the replayed mirror equals the live mirror (no traffic since T).
   EXPECT_TRUE(recon.state == world.deploy.recorder(5).state());
+}
+
+namespace {
+
+/// Hands `batch`, signed by AS 2, to AS 5's recorder, then lets the
+/// simulator deliver the ACK.
+void deliver_from_as2(World& world, const sp::SpiderBatch& batch) {
+  const auto wire = sp::sign_batch(2, world.deploy.recorder(2).signer(), batch).encode();
+  world.deploy.recorder(5).handle_frame(2, spider::util::ByteSpan(wire.data(), wire.size()));
+  world.deploy.sim().run();
+}
+
+/// A valid withdraw from AS 2 for a prefix it never announced: a no-op for
+/// the mirror, but AS 5 accepts it and so logs the whole batch around it.
+sp::SpiderBatch::Part harmless_withdraw(World& world) {
+  sp::SpiderWithdraw withdraw;
+  withdraw.timestamp = world.deploy.sim().now();
+  withdraw.from_as = 2;
+  withdraw.to_as = 5;
+  withdraw.prefix = sb::Prefix::parse("203.0.113.0/24");
+  return {sp::SpiderMsgType::kWithdraw, withdraw.encode()};
+}
+
+}  // namespace
+
+TEST(SpiderIntegration, UndecodablePartFromByzantineNeighborDoesNotBreakReplay) {
+  // A Byzantine AS 2 signs a batch holding one garbage announce part and
+  // one valid withdraw.  The live recorder alarms on the garbage part but
+  // accepts the withdraw, so it logs the whole batch; replay must skip
+  // the garbage part the same way, and AS 5 must still prove its honest
+  // commitment.
+  World world;
+  sp::Recorder& as5 = world.deploy.recorder(5);
+  const std::size_t alarms_before = as5.alarms().size();
+  sp::SpiderBatch batch;
+  batch.parts.push_back({sp::SpiderMsgType::kAnnounce, {0x01}});
+  batch.parts.push_back(harmless_withdraw(world));
+  deliver_from_as2(world, batch);
+  ASSERT_EQ(as5.alarms().size(), alarms_before + 1);
+  EXPECT_EQ(as5.alarms().back(), "undecodable part from AS2");
+
+  const auto& record = world.commit_as5();
+  sp::ProofGenerator generator(as5);
+  auto recon = generator.reconstruct(record.timestamp);
+  EXPECT_TRUE(recon.root_matches);
+  auto report = sp::run_verification(world.deploy, 5, record.timestamp);
+  EXPECT_TRUE(report.clean());
+  for (const auto& finding : report.findings()) ADD_FAILURE() << finding;
+}
+
+TEST(SpiderIntegration, ReplaySkipsEveryPartTheLiveRecorderRejected) {
+  // The other parts the live recorder rejects inside a logged batch: an
+  // announce naming another sender, and a §6.6 re-announcement sent in the
+  // live stream.  Replay must drop both, or the reconstructed mirror (and
+  // root) differs from the one AS 5 committed to.
+  World world;
+  sp::Recorder& as5 = world.deploy.recorder(5);
+  const std::size_t alarms_before = as5.alarms().size();
+  sp::SpiderAnnounce announce;
+  announce.timestamp = world.deploy.sim().now();
+  announce.from_as = 2;
+  announce.to_as = 5;
+  announce.route.prefix = sb::Prefix::parse("198.51.100.0/24");
+  announce.route.as_path = {2};
+  sp::SpiderAnnounce wrong_sender = announce;
+  wrong_sender.from_as = 3;
+  sp::SpiderAnnounce re_announce = announce;
+  re_announce.re_announce = true;
+  sp::SpiderBatch batch;
+  batch.parts.push_back({sp::SpiderMsgType::kAnnounce, wrong_sender.encode()});
+  batch.parts.push_back({sp::SpiderMsgType::kAnnounce, re_announce.encode()});
+  batch.parts.push_back(harmless_withdraw(world));
+  deliver_from_as2(world, batch);
+  EXPECT_EQ(as5.alarms().size(), alarms_before + 2);
+
+  const auto& record = world.commit_as5();
+  auto recon = sp::ProofGenerator(as5).reconstruct(record.timestamp);
+  EXPECT_TRUE(recon.root_matches);
+  EXPECT_TRUE(recon.state == as5.state());
 }
 
 TEST(SpiderIntegration, ProducerProofsSatisfyHonestNeighbors) {

@@ -436,14 +436,11 @@ int run_proofgen(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opt
         }
         subset = &chunk;
       }
-      bundle.producer_proofs = entry.generator
-                                   ->proofs_for_producer(*entry.recon, request.consumer,
-                                                         std::nullopt, subset, entry.memo.get())
-                                   .encode();
-      bundle.consumer_proofs = entry.generator
-                                   ->proofs_for_consumer(*entry.recon, request.consumer,
-                                                         std::nullopt, subset, entry.memo.get())
-                                   .encode();
+      const proto::ProofOptions options{std::nullopt, subset, entry.memo.get()};
+      bundle.producer_proofs =
+          entry.generator->proofs_for_producer(*entry.recon, request.consumer, options).encode();
+      bundle.consumer_proofs =
+          entry.generator->proofs_for_consumer(*entry.recon, request.consumer, options).encode();
     } else {
       bundle.producer_proofs = proto::ProducerProofs{}.encode();
       bundle.consumer_proofs = proto::ConsumerProofs{}.encode();
