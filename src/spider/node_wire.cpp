@@ -85,6 +85,44 @@ LogSegmentFrame LogSegmentFrame::decode(ByteSpan data) {
   return frame;
 }
 
+void stream_log(const MessageLog& log, const std::function<void(const LogSegmentFrame&)>& emit) {
+  constexpr std::size_t kBatch = 256;
+  LogSegmentFrame segment{LogSegmentFrame::kEntries, {}};
+  for (const LogEntry& entry : log.entries()) {
+    segment.records.push_back(entry.encode());
+    if (segment.records.size() == kBatch) {
+      emit(segment);
+      segment.records.clear();
+    }
+  }
+  if (!segment.records.empty()) emit(segment);
+  segment = {LogSegmentFrame::kCheckpoints, {}};
+  for (const LogCheckpoint& cp : log.checkpoints()) segment.records.push_back(cp.encode());
+  emit(segment);
+  segment = {LogSegmentFrame::kCommitments, {}};
+  for (const auto& [time, record] : log.commitments()) segment.records.push_back(record.encode());
+  emit(segment);
+}
+
+void LogTransfer::add(LogSegmentFrame segment) {
+  auto& sink = segment.kind == LogSegmentFrame::kEntries       ? entries
+               : segment.kind == LogSegmentFrame::kCheckpoints ? checkpoints
+                                                               : commitments;
+  for (Bytes& record : segment.records) sink.push_back(std::move(record));
+}
+
+MessageLog LogTransfer::rebuild() const {
+  MessageLog log;
+  for (const Bytes& bytes : entries) log.append_entry(LogEntry::decode(bytes));
+  for (const Bytes& bytes : checkpoints) {
+    LogCheckpoint cp = LogCheckpoint::decode(bytes);
+    log.add_checkpoint(cp.timestamp, std::move(cp.chunks));
+  }
+  for (const Bytes& bytes : commitments) log.record_commitment(CommitmentRecord::decode(bytes));
+  if (!log.verify_chain()) throw util::DecodeError("transferred log failed chain verification");
+  return log;
+}
+
 std::uint32_t proof_round_of(const bgp::Prefix& prefix, std::uint32_t round_count) {
   if (round_count <= 1) return 0;
   // FNV-1a over the canonical (bits, length) encoding.  Any fixed hash

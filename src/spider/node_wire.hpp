@@ -17,10 +17,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "bgp/route.hpp"
+#include "spider/log.hpp"
 #include "spider/messages.hpp"
 
 namespace spider::proto {
@@ -96,6 +98,25 @@ struct LogSegmentFrame {
 
   Bytes encode() const;
   static LogSegmentFrame decode(ByteSpan data);
+};
+
+/// The sending end of a kLogRequest transfer: `log` as kLogSegment bodies
+/// — entries in append order, batched — then one segment of checkpoints
+/// and one of commitments.  The caller sends kLogEnd after the last.
+void stream_log(const MessageLog& log, const std::function<void(const LogSegmentFrame&)>& emit);
+
+/// The receiving end of a kLogRequest transfer: kLogSegment records
+/// accumulate by kind until kLogEnd, then rebuild() yields the sender's log.
+struct LogTransfer {
+  std::vector<Bytes> entries, checkpoints, commitments;
+
+  void add(LogSegmentFrame segment);
+
+  /// The sender's log with the transferred seq numbers and authenticators
+  /// (pruning lets the chain start mid-sequence).  Throws util::DecodeError
+  /// when a record does not decode or verify_chain() fails, which
+  /// recomputes the chain and so catches a tampered, pre-chained transfer.
+  MessageLog rebuild() const;
 };
 
 /// Assigns a prefix to one of `round_count` pipelined challenge rounds.

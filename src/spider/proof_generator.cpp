@@ -88,10 +88,9 @@ ProofGenerator::Reconstruction ProofGenerator::reconstruct(Time commit_time,
   SPIDER_OBS_SPAN(reconstruct_span, "proof_gen/reconstruct");
   SPIDER_OBS_COUNT("spider/reconstructions", 1);
   util::WallTimer timer;
-  const MessageLog& log = recorder_.log();
-  const CommitmentRecord* record = log.commitment_at(commit_time);
+  const CommitmentRecord* record = log_.commitment_at(commit_time);
   if (!record) throw std::invalid_argument("ProofGenerator: no commitment at requested time");
-  const LogCheckpoint* checkpoint = log.checkpoint_before(commit_time);
+  const LogCheckpoint* checkpoint = log_.checkpoint_before(commit_time);
   if (!checkpoint) throw std::invalid_argument("ProofGenerator: no checkpoint before commitment");
 
   Reconstruction recon;
@@ -101,8 +100,8 @@ ProofGenerator::Reconstruction ProofGenerator::reconstruct(Time commit_time,
 
   // Replay the logged message trace (§6.5), noting each producer's
   // in-window input history (§6.4) as it goes.
-  const Time window_start = commit_time - recorder_.config().delta;
-  replay_log(log, checkpoint->timestamp, commit_time, recorder_.config(), recon.state,
+  const Time window_start = commit_time - params_.config.delta;
+  replay_log(log_, checkpoint->timestamp, commit_time, params_.config, recon.state,
              [&](bgp::AsNumber from, const bgp::Prefix& prefix, Time arrival) {
                if (arrival <= window_start) return;
                const InputRecord* before = recon.state.input(from, prefix);
@@ -120,9 +119,9 @@ ProofGenerator::Reconstruction ProofGenerator::reconstruct(Time commit_time,
   // Regenerate the MTT exactly as the recorder did at commit time.
   {
     SPIDER_OBS_SPAN(mtt_span, "proof_gen/mtt_path");
-    auto entries = build_mtt_entries(recon.state, recorder_.classifier(), recorder_.promises(),
-                                     recorder_.faults().ignore_inputs);
-    recon.tree = core::Mtt::build(std::move(entries), recorder_.config().num_classes);
+    auto entries =
+        build_mtt_entries(recon.state, classifier_, params_.promises, params_.ignore_inputs);
+    recon.tree = core::Mtt::build(std::move(entries), params_.config.num_classes);
     recon.tree.compute_labels(crypto::CommitmentPrf(recon.seed), threads);
   }
   recon.root_matches = crypto::constant_time_equal(recon.tree.root_label(), record->root);
@@ -138,7 +137,6 @@ ProducerProofs ProofGenerator::proofs_for_producer(const Reconstruction& recon,
   proofs.commit_time = recon.commit_time;
   if (faults_.withhold_producer_proofs) return proofs;
   const crypto::CommitmentPrf prf(recon.seed);
-  const auto& classifier = recorder_.classifier();
 
   auto inputs_it = recon.state.inputs().find(producer);
   if (inputs_it == recon.state.inputs().end()) return proofs;
@@ -156,7 +154,7 @@ ProducerProofs ProofGenerator::proofs_for_producer(const Reconstruction& recon,
     auto window_it = recon.window_candidates.find({producer, prefix});
     if (window_it != recon.window_candidates.end()) {
       std::optional<bgp::Route> chosen =
-          elector_choice(recon.state, prefix, recorder_.faults().ignore_inputs);
+          elector_choice(recon.state, prefix, params_.ignore_inputs);
       const auto& candidates = window_it->second;
       for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
         if (!*it) continue;  // ⊥ needs no justification for producers
@@ -170,9 +168,9 @@ ProducerProofs ProofGenerator::proofs_for_producer(const Reconstruction& recon,
     ProducerProofs::Item item;
     item.prefix = prefix;
     item.used_route = used;
-    item.cls = classifier.classify(used);
+    item.cls = classifier_.classify(used);
     if (faults_.misclassify_producer) {
-      item.cls = (item.cls + 1) % recorder_.config().num_classes;
+      item.cls = (item.cls + 1) % params_.config.num_classes;
     }
     item.proof = recon.tree.prove(prf, prefix, {item.cls}, options.memo);
     if (faults_.tamper_classes.count(item.cls) != 0) {
@@ -191,10 +189,8 @@ ConsumerProofs ProofGenerator::proofs_for_consumer(const Reconstruction& recon,
   ConsumerProofs proofs;
   proofs.commit_time = recon.commit_time;
   const crypto::CommitmentPrf prf(recon.seed);
-  const auto& classifier = recorder_.classifier();
-  const auto& promises = recorder_.promises();
-  auto promise_it = promises.find(consumer);
-  if (promise_it == promises.end()) return proofs;
+  auto promise_it = params_.promises.find(consumer);
+  if (promise_it == params_.promises.end()) return proofs;
 
   auto exports_it = recon.state.exports().find(consumer);
   if (exports_it == recon.state.exports().end()) return proofs;
@@ -202,8 +198,8 @@ ConsumerProofs ProofGenerator::proofs_for_consumer(const Reconstruction& recon,
   for (const auto& [prefix, record] : exports_it->second) {
     if (options.within && !options.within->contains(prefix)) continue;
     if (options.subset != nullptr && options.subset->count(prefix) == 0) continue;
-    bgp::Route underlying = underlying_route(record.route, recorder_.config().asn);
-    core::ClassId cls = classifier.classify(underlying);
+    bgp::Route underlying = underlying_route(record.route, params_.config.asn);
+    core::ClassId cls = classifier_.classify(underlying);
     std::vector<core::ClassId> better = promise_it->second.classes_better_than(cls);
 
     ConsumerProofs::Item item;
@@ -228,7 +224,7 @@ std::vector<SpiderAnnounce> ProofGenerator::select_re_announcements(
   if (exports_it == recon.state.exports().end()) return selected;
 
   for (const auto& [prefix, record] : exports_it->second) {
-    bgp::Route underlying = underlying_route(record.route, recorder_.config().asn);
+    bgp::Route underlying = underlying_route(record.route, params_.config.asn);
     if (underlying.as_path.empty()) continue;  // locally originated
     for (const ReAnnounceSet& set : sets) {
       if (set.from_as != underlying.as_path.front()) continue;

@@ -16,6 +16,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/mtt.hpp"
@@ -88,6 +89,15 @@ struct ProofOptions {
   core::MttProofMemo* memo = nullptr;
 };
 
+/// What the proof generator knows of the elector besides its log: the
+/// configuration replay reads, its promises to consumers, and the neighbors
+/// its commitments ignored (the overaggressive filter the MTT must repeat).
+struct ElectorParams {
+  RecorderConfig config;
+  std::map<bgp::AsNumber, core::Promise> promises;
+  std::set<bgp::AsNumber> ignore_inputs;
+};
+
 class ProofGenerator {
  public:
   struct Faults {
@@ -103,7 +113,16 @@ class ProofGenerator {
     bool withhold_producer_proofs = false;
   };
 
-  explicit ProofGenerator(const Recorder& recorder) : recorder_(recorder) {}
+  /// Proves from `log` alone (§6.5: the checkpoint before T, the messages
+  /// logged up to T, and the stored seed).  `log` must outlive the generator.
+  ProofGenerator(const MessageLog& log, ElectorParams params)
+      : log_(log), params_(std::move(params)), classifier_(params_.config.num_classes) {}
+  ProofGenerator(MessageLog&&, ElectorParams) = delete;  // would dangle
+
+  /// Proves from `recorder`'s log under its current parameters.
+  explicit ProofGenerator(const Recorder& recorder)
+      : ProofGenerator(recorder.log(), {recorder.config(), recorder.promises(),
+                                        recorder.faults().ignore_inputs}) {}
 
   struct Reconstruction {
     Time commit_time = 0;
@@ -141,7 +160,9 @@ class ProofGenerator {
   Faults& faults() { return faults_; }
 
  private:
-  const Recorder& recorder_;
+  const MessageLog& log_;
+  ElectorParams params_;
+  core::PathLengthClassifier classifier_;
   Faults faults_;
 };
 

@@ -9,6 +9,7 @@
 #include "netreview/auditor.hpp"
 #include "spider/checker.hpp"
 #include "spider/deployment.hpp"
+#include "spider/node_wire.hpp"
 #include "spider/proof_generator.hpp"
 #include "spider/verification.hpp"
 
@@ -137,6 +138,84 @@ TEST(SpiderIntegration, ReplayReconstructsIdenticalRoot) {
   EXPECT_EQ(recon.tree.root_label(), record.root);
   // And the replayed mirror equals the live mirror (no traffic since T).
   EXPECT_TRUE(recon.state == world.deploy.recorder(5).state());
+}
+
+namespace {
+
+/// AS 5's log as the proofgen node rebuilds it: streamed as encoded
+/// entries, checkpoints and commitments, then re-chained and verified.
+sp::MessageLog transferred_log_of_as5(World& world) {
+  sp::LogTransfer transfer;
+  sp::stream_log(world.deploy.recorder(5).log(), [&](const sp::LogSegmentFrame& segment) {
+    transfer.add(sp::LogSegmentFrame::decode(segment.encode()));
+  });
+  return transfer.rebuild();
+}
+
+/// Proving from the rebuilt log and AS 5's parameters alone agrees with
+/// proving from its recorder: same root verdict, same loose-sync window
+/// candidates, byte-identical proofs for every neighbor.
+void expect_log_only_proofs_match(World& world, sn::Time commit_time) {
+  const sp::Recorder& as5 = world.deploy.recorder(5);
+  const sp::MessageLog log = transferred_log_of_as5(world);
+  const sp::ProofGenerator from_log(log,
+                                    {as5.config(), as5.promises(), as5.faults().ignore_inputs});
+  const sp::ProofGenerator from_recorder(as5);
+  const auto recon = from_log.reconstruct(commit_time);
+  const auto expected = from_recorder.reconstruct(commit_time);
+  EXPECT_TRUE(recon.root_matches);
+  EXPECT_EQ(recon.root_matches, expected.root_matches);
+  EXPECT_EQ(recon.window_candidates, expected.window_candidates);
+  for (sb::AsNumber neighbor : world.deploy.neighbors_of(5)) {
+    EXPECT_EQ(from_log.proofs_for_producer(recon, neighbor).encode(),
+              from_recorder.proofs_for_producer(expected, neighbor).encode())
+        << "producer AS" << neighbor;
+    EXPECT_EQ(from_log.proofs_for_consumer(recon, neighbor).encode(),
+              from_recorder.proofs_for_consumer(expected, neighbor).encode())
+        << "consumer AS" << neighbor;
+  }
+}
+
+}  // namespace
+
+TEST(LogOnlyProving, HonestRunMatchesRecorderProving) {
+  World world;
+  expect_log_only_proofs_match(world, world.commit_as5().timestamp);
+}
+
+TEST(LogOnlyProving, LooseSyncWindowCandidatesMatchRecorderProving) {
+  World world;
+  // AS 2's trace peer re-announces a prefix with a longer path just before
+  // AS 5 commits, so the commitment's [T-δ, T] window holds two values.
+  sb::Route longer = world.trace.rib_snapshot.front();
+  longer.as_path.push_back(64999);
+  sb::Update update;
+  update.announced.push_back(longer);
+  world.deploy.speaker(2).inject(1000, update);
+  world.deploy.sim().run_until(world.deploy.sim().now() + kSecond);
+  const auto& record = world.commit_as5();
+  const auto window = sp::ProofGenerator(world.deploy.recorder(5))
+                          .reconstruct(record.timestamp)
+                          .window_candidates;
+  auto it = window.find({2u, longer.prefix});
+  ASSERT_NE(it, window.end());
+  EXPECT_GE(it->second.size(), 2u);
+  expect_log_only_proofs_match(world, record.timestamp);
+}
+
+TEST(LogOnlyProving, IgnoredInputsMatchRecorderProving) {
+  World world(small_config(), [](sp::Fig5Deployment& deploy) {
+    deploy.speaker(5).inject_import_filter_fault(2);
+    deploy.recorder(5).faults().ignore_inputs = {2};
+  });
+  const auto& record = world.commit_as5();
+  expect_log_only_proofs_match(world, record.timestamp);
+  // The parameter matters: without it the regenerated root disagrees.
+  const sp::MessageLog log = transferred_log_of_as5(world);
+  const sp::Recorder& as5 = world.deploy.recorder(5);
+  EXPECT_FALSE(sp::ProofGenerator(log, {as5.config(), as5.promises(), {}})
+                   .reconstruct(record.timestamp)
+                   .root_matches);
 }
 
 namespace {

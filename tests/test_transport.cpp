@@ -1,12 +1,15 @@
 // Transport-plane contracts: stream framing under adversarial
-// segmentation, and the TCP backend's loopback behavior (attribution,
-// backpressure, oversize-frame teardown, timer FIFO).
+// segmentation, the TCP backend's loopback behavior (attribution,
+// backpressure, oversize-frame teardown, timer FIFO), the node tools'
+// NodeEndpoint adapter, and the proof generator's log transfer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "crypto/sha2.hpp"
+#include "node_common.hpp"
 #include "spider/messages.hpp"
 #include "spider/node_wire.hpp"
 #include "transport/framing.hpp"
@@ -252,6 +255,142 @@ TEST(TcpTransport, TimersFireInFifoOrderAtEqualDeadlines) {
   }
   endpoint.run_for(50'000);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// ------------------------------------------------------------ NodeEndpoint
+
+TEST(NodeEndpoint, MalformedControlBodyIsDroppedAndTheLoopLivesOn) {
+  st::TcpTransport server(905), client(2);
+  spider::nodetool::NodeEndpoint endpoint(server);
+  std::vector<sp::ProofRequestFrame> requests;
+  endpoint.set_control_handler([&](st::PeerId, const sp::NodeFrame& frame) {
+    if (frame.type == sp::NodeFrameType::kProofRequest) {
+      requests.push_back(sp::ProofRequestFrame::decode(frame.body));
+    }
+  });
+  const std::uint16_t port = server.listen_on(0);
+  ASSERT_TRUE(client.connect_peer(905, "127.0.0.1", port));
+
+  auto send = [&](sp::NodeFrameType type, Bytes body) {
+    return client.send(905, sp::NodeFrame{type, std::move(body)}.encode());
+  };
+  // Well-formed NodeFrames whose bodies are truncated: one the control
+  // handler decodes, one the endpoint decodes itself.
+  ASSERT_TRUE(send(sp::NodeFrameType::kProofRequest, {1, 2, 3}));
+  ASSERT_TRUE(send(sp::NodeFrameType::kStatsRequest, {1, 2, 3}));
+  sp::ProofRequestFrame valid;
+  valid.elector = 5;
+  valid.commit_time = 42;
+  valid.consumer = 2;
+  ASSERT_TRUE(send(sp::NodeFrameType::kProofRequest, valid.encode()));
+
+  ASSERT_TRUE(pump(server, client, [&] { return !requests.empty(); }));
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].elector, 5u);
+  EXPECT_EQ(requests[0].commit_time, 42);
+}
+
+TEST(NodeEndpoint, AnswersStatsAndShutdownForEveryRole) {
+  st::TcpTransport server(5), client(2);
+  spider::nodetool::NodeEndpoint endpoint(server);
+  endpoint.set_stats_source([] {
+    sp::StatsFrame stats;
+    stats.updates_mirrored = 7;
+    return stats;
+  });
+  std::vector<sp::NodeFrame> control;
+  endpoint.set_control_handler(
+      [&](st::PeerId, const sp::NodeFrame& frame) { control.push_back(frame); });
+  std::vector<sp::StatsFrame> replies;
+  client.set_frame_handler([&](st::PeerId, su::ByteSpan frame) {
+    sp::NodeFrame node_frame = sp::NodeFrame::decode(frame);
+    ASSERT_EQ(node_frame.type, sp::NodeFrameType::kStats);
+    replies.push_back(sp::StatsFrame::decode(node_frame.body));
+  });
+  const std::uint16_t port = server.listen_on(0);
+  ASSERT_TRUE(client.connect_peer(5, "127.0.0.1", port));
+
+  su::ByteWriter token;
+  token.u64(99);
+  ASSERT_TRUE(
+      client.send(5, sp::NodeFrame{sp::NodeFrameType::kStatsRequest, token.take()}.encode()));
+  ASSERT_TRUE(pump(server, client, [&] { return !replies.empty(); }));
+  EXPECT_EQ(replies[0].token, 99u);
+  EXPECT_EQ(replies[0].updates_mirrored, 7u);
+
+  ASSERT_TRUE(client.send(5, sp::NodeFrame{sp::NodeFrameType::kShutdown, {}}.encode()));
+  client.poll_once(10'000);  // flushes the queued frame
+  const st::Time before = server.now();
+  server.run_for(5'000'000);  // returns early once kShutdown stops the loop
+  EXPECT_LT(server.now() - before, 5'000'000);
+  EXPECT_TRUE(control.empty());  // neither frame reached the role's handler
+}
+
+// ------------------------------------------------------------ log transfer
+
+/// A log as the recorder's retention leaves it: more entries than one
+/// kLogSegment batch, pruned so the chain starts mid-sequence, with a
+/// checkpoint and a commitment.
+sp::MessageLog sample_log() {
+  sp::MessageLog log;
+  log.add_checkpoint(0, {su::str_bytes("state at 0")});
+  for (int i = 0; i < 300; ++i) {
+    log.append(1'000 * (i + 1), i % 2 == 0 ? sp::LogDirection::kSent : sp::LogDirection::kReceived,
+               2, su::str_bytes("batch " + std::to_string(i)), 4);
+  }
+  log.add_checkpoint(20'500, {su::str_bytes("state at 20500, part 1"), su::str_bytes("part 2")});
+  sp::CommitmentRecord record;
+  record.timestamp = 299'500;
+  record.root = scr::digest20(su::str_bytes("root"));
+  record.num_classes = 16;
+  log.record_commitment(record);
+  log.prune_before(20'500);
+  return log;
+}
+
+/// `log` streamed and received the way the node roles do it.
+sp::LogTransfer transfer_of(const sp::MessageLog& log) {
+  sp::LogTransfer transfer;
+  sp::stream_log(log, [&](const sp::LogSegmentFrame& segment) {
+    transfer.add(sp::LogSegmentFrame::decode(segment.encode()));
+  });
+  return transfer;
+}
+
+TEST(LogTransfer, RebuildsThePrunedLogAsSent) {
+  const sp::MessageLog log = sample_log();
+  ASSERT_NE(log.entries().front().seq, 0u);
+  const sp::MessageLog rebuilt = transfer_of(log).rebuild();
+  ASSERT_EQ(rebuilt.entries().size(), log.entries().size());
+  for (std::size_t i = 0; i < log.entries().size(); ++i) {
+    EXPECT_EQ(rebuilt.entries()[i].encode(), log.entries()[i].encode()) << i;
+  }
+  ASSERT_EQ(rebuilt.checkpoints().size(), log.checkpoints().size());
+  for (std::size_t i = 0; i < log.checkpoints().size(); ++i) {
+    EXPECT_EQ(rebuilt.checkpoints()[i].encode(), log.checkpoints()[i].encode()) << i;
+  }
+  ASSERT_EQ(rebuilt.commitments().size(), 1u);
+  EXPECT_EQ(rebuilt.commitments().begin()->second.encode(),
+            log.commitments().begin()->second.encode());
+}
+
+TEST(LogTransfer, TamperedEntryFailsChainVerification) {
+  sp::LogTransfer transfer = transfer_of(sample_log());
+  // The entry keeps its authenticator, so it still decodes; only the
+  // recomputed chain exposes the altered message.
+  sp::LogEntry entry = sp::LogEntry::decode(transfer.entries[100]);
+  entry.message.back() ^= 1;
+  transfer.entries[100] = entry.encode();
+  EXPECT_THROW((void)transfer.rebuild(), su::DecodeError);
+}
+
+TEST(LogTransfer, TruncatedRecordsAreRejected) {
+  for (auto member : {&sp::LogTransfer::entries, &sp::LogTransfer::checkpoints,
+                      &sp::LogTransfer::commitments}) {
+    sp::LogTransfer transfer = transfer_of(sample_log());
+    (transfer.*member).back().pop_back();
+    EXPECT_THROW((void)transfer.rebuild(), su::DecodeError);
+  }
 }
 
 }  // namespace

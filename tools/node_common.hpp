@@ -18,36 +18,42 @@
 #include "crypto/rsa.hpp"
 #include "spider/node_wire.hpp"
 #include "transport/tcp_transport.hpp"
+#include "util/serde.hpp"
 
 namespace spider::nodetool {
 
 /// transport::Endpoint adapter that wraps recorder envelope traffic in
-/// NodeFrame{kEnvelope} and routes every other frame type to a control
-/// handler.  The hosted Recorder sees exactly the frame bytes it would see
-/// over NetsimTransport; the process harness sees everything else.
+/// NodeFrame{kEnvelope}, answers kStatsRequest and kShutdown itself, and
+/// routes every other frame type to a control handler.  The hosted
+/// Recorder sees exactly the frame bytes it would see over NetsimTransport;
+/// the process harness sees everything else.
 class NodeEndpoint final : public transport::Endpoint {
  public:
   using ControlHandler = std::function<void(transport::PeerId, const proto::NodeFrame&)>;
+  /// The node's counters for a kStats reply (the endpoint fills the token).
+  using StatsSource = std::function<proto::StatsFrame()>;
 
   explicit NodeEndpoint(transport::TcpTransport& tcp) : tcp_(tcp) {
     tcp_.set_frame_handler([this](transport::PeerId from, util::ByteSpan frame) {
       proto::NodeFrame node_frame;
       try {
         node_frame = proto::NodeFrame::decode(frame);
+        if (node_frame.type != proto::NodeFrameType::kEnvelope) {
+          dispatch_control(from, node_frame);
+          return;
+        }
       } catch (const util::DecodeError& e) {
         std::fprintf(stderr, "dropping malformed node frame from peer %u: %s\n", from, e.what());
         return;
       }
-      if (node_frame.type == proto::NodeFrameType::kEnvelope) {
-        if (handler_) handler_(from, node_frame.body);
-      } else if (control_) {
-        control_(from, node_frame);
-      }
+      if (handler_) handler_(from, node_frame.body);
     });
   }
 
   void set_frame_handler(FrameHandler handler) override { handler_ = std::move(handler); }
   void set_control_handler(ControlHandler handler) { control_ = std::move(handler); }
+  /// Unset, stats replies carry zero counters.
+  void set_stats_source(StatsSource source) { stats_ = std::move(source); }
 
   bool send(transport::PeerId to, util::ByteSpan frame) override {
     proto::NodeFrame node_frame{proto::NodeFrameType::kEnvelope,
@@ -66,9 +72,26 @@ class NodeEndpoint final : public transport::Endpoint {
   transport::Time now() const override { return tcp_.now(); }
 
  private:
+  /// Control bodies are decoded here or by the control handler; a
+  /// malformed one throws util::DecodeError and the frame is dropped.
+  void dispatch_control(transport::PeerId from, const proto::NodeFrame& frame) {
+    if (frame.type == proto::NodeFrameType::kStatsRequest) {
+      util::ByteReader r(frame.body);
+      proto::StatsFrame stats = stats_ ? stats_() : proto::StatsFrame{};
+      stats.token = r.u64();
+      r.expect_end();
+      send_control(from, proto::NodeFrameType::kStats, stats.encode());
+    } else if (frame.type == proto::NodeFrameType::kShutdown) {
+      tcp_.stop();
+    } else if (control_) {
+      control_(from, frame);
+    }
+  }
+
   transport::TcpTransport& tcp_;
   FrameHandler handler_;
   ControlHandler control_;
+  StatsSource stats_;
 };
 
 /// Deterministic per-AS keys shared by every process of one loopback

@@ -17,9 +17,9 @@
 //                     the commitment it received (§6.1 checker).
 //
 //   --role proofgen   The elector's proof generator as its own process
-//                     (§6.5): fetches the recorder's log over TCP,
-//                     rebuilds it, reconstructs checkpoint+replay state,
-//                     and answers kProofRequest with per-neighbor proofs.
+//                     (§6.5): fetches the recorder's log over TCP, rebuilds
+//                     and verifies it, and answers kProofRequest with proofs
+//                     replayed from that log alone — no recorder runs here.
 //
 // The protocol objects are the same classes the deterministic netsim tests
 // run; only the transport differs (TcpTransport vs NetsimTransport).
@@ -43,7 +43,6 @@
 #include "node_common.hpp"
 #include "spider/checker.hpp"
 #include "spider/proof_generator.hpp"
-#include "transport/netsim_transport.hpp"
 #include "util/serde.hpp"
 #include "verify/session.hpp"
 
@@ -78,6 +77,22 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Elector `asn`'s parameters under the command line: its recorder
+/// configuration and the paper's §7.2 total-order promise to every
+/// neighbor.  The hosted recorder and the proof generator replaying its
+/// log both take theirs from here, so they cannot drift.
+proto::ElectorParams elector_params(const Options& opt, std::uint32_t asn) {
+  proto::ElectorParams params;
+  params.config.asn = asn;
+  params.config.num_classes = opt.num_classes;
+  params.config.commit_interval = opt.commit_interval;
+  params.config.batch_window = opt.batch_window;
+  for (std::uint32_t neighbor : opt.neighbors) {
+    params.promises.emplace(neighbor, core::Promise::total_order(opt.num_classes));
+  }
+  return params;
+}
+
 /// Everything a recorder-hosting role owns; the checker role reuses it
 /// with commitments disabled.
 struct HostedRecorder {
@@ -97,18 +112,15 @@ struct HostedRecorder {
     nodetool::add_keys(keys, key_ases);
     signer = std::make_unique<crypto::HashSigner>(nodetool::key_of(opt.id));
 
-    proto::RecorderConfig rc;
-    rc.asn = opt.id;
-    rc.num_classes = opt.num_classes;
-    rc.commit_interval = opt.commit_interval;
-    rc.batch_window = opt.batch_window;
+    proto::ElectorParams params = elector_params(opt, opt.id);
     // Live ingest leans on dirty-prefix tracking: a periodic commit costs
     // O(changed prefixes), not O(table), so commitments stay off the
-    // ingest path.  Replay (the proofgen's shadow recorder) keeps the
-    // default full rebuild — the incremental/full differential is already
-    // covered by test_mtt_incremental, and root_matches re-checks it here.
-    rc.incremental_commits = true;
-    recorder = std::make_unique<proto::Recorder>(endpoint, rc, *signer, keys, *speaker);
+    // ingest path.  The proof generator rebuilds the MTT in full — the
+    // incremental/full differential is already covered by
+    // test_mtt_incremental, and root_matches re-checks it here.
+    params.config.incremental_commits = true;
+    recorder =
+        std::make_unique<proto::Recorder>(endpoint, params.config, *signer, keys, *speaker);
 
     for (std::uint32_t neighbor : opt.neighbors) {
       // Observed-only: the export pipeline (policy, adj-rib-out, mirror
@@ -116,18 +128,17 @@ struct HostedRecorder {
       // neighbor router lives in another process.
       speaker->add_observed_neighbor(neighbor);
       recorder->add_neighbor(neighbor);
-      recorder->set_promise(neighbor, core::Promise::total_order(opt.num_classes));
+      recorder->set_promise(neighbor, params.promises.at(neighbor));
     }
-  }
 
-  proto::StatsFrame stats(std::uint64_t token) const {
-    proto::StatsFrame frame;
-    frame.token = token;
-    frame.updates_mirrored = recorder->updates_mirrored();
-    frame.commitments_made = recorder->commitments_made();
-    frame.alarms = recorder->alarms().size();
-    frame.log_entries = recorder->log().entries().size();
-    return frame;
+    endpoint.set_stats_source([this] {
+      proto::StatsFrame frame;
+      frame.updates_mirrored = recorder->updates_mirrored();
+      frame.commitments_made = recorder->commitments_made();
+      frame.alarms = recorder->alarms().size();
+      frame.log_entries = recorder->log().entries().size();
+      return frame;
+    });
   }
 };
 
@@ -180,13 +191,6 @@ int run_recorder(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opt
         }
         break;
       }
-      case proto::NodeFrameType::kStatsRequest: {
-        util::ByteReader r(frame.body);
-        const std::uint64_t token = r.u64();
-        r.expect_end();
-        endpoint.send_control(from, proto::NodeFrameType::kStats, host.stats(token).encode());
-        break;
-      }
       case proto::NodeFrameType::kSubscribeCommits:
         commit_subscribers.insert(from);
         break;
@@ -195,38 +199,12 @@ int run_recorder(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opt
           std::fprintf(stderr, "refusing log request from untrusted peer %u\n", from);
           break;
         }
-        const proto::MessageLog& log = host.recorder->log();
-        constexpr std::size_t kBatch = 256;
-        proto::LogSegmentFrame segment;
-        segment.kind = proto::LogSegmentFrame::kEntries;
-        for (const proto::LogEntry& entry : log.entries()) {
-          segment.records.push_back(entry.encode());
-          if (segment.records.size() == kBatch) {
-            endpoint.send_control(from, proto::NodeFrameType::kLogSegment, segment.encode());
-            segment.records.clear();
-          }
-        }
-        if (!segment.records.empty()) {
+        proto::stream_log(host.recorder->log(), [&](const proto::LogSegmentFrame& segment) {
           endpoint.send_control(from, proto::NodeFrameType::kLogSegment, segment.encode());
-        }
-        proto::LogSegmentFrame checkpoints;
-        checkpoints.kind = proto::LogSegmentFrame::kCheckpoints;
-        for (const proto::LogCheckpoint& cp : log.checkpoints()) {
-          checkpoints.records.push_back(cp.encode());
-        }
-        endpoint.send_control(from, proto::NodeFrameType::kLogSegment, checkpoints.encode());
-        proto::LogSegmentFrame commitments;
-        commitments.kind = proto::LogSegmentFrame::kCommitments;
-        for (const auto& [time, record] : log.commitments()) {
-          commitments.records.push_back(record.encode());
-        }
-        endpoint.send_control(from, proto::NodeFrameType::kLogSegment, commitments.encode());
+        });
         endpoint.send_control(from, proto::NodeFrameType::kLogEnd, {});
         break;
       }
-      case proto::NodeFrameType::kShutdown:
-        tcp.stop();
-        break;
       default:
         std::fprintf(stderr, "recorder: unexpected frame type %u from peer %u\n",
                      static_cast<unsigned>(frame.type), from);
@@ -274,13 +252,6 @@ int run_checker(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opti
 
   endpoint.set_control_handler([&](PeerId from, const proto::NodeFrame& frame) {
     switch (frame.type) {
-      case proto::NodeFrameType::kStatsRequest: {
-        util::ByteReader r(frame.body);
-        const std::uint64_t token = r.u64();
-        r.expect_end();
-        endpoint.send_control(from, proto::NodeFrameType::kStats, host.stats(token).encode());
-        break;
-      }
       case proto::NodeFrameType::kCheckRequest: {
         proto::ProofBundleFrame bundle = proto::ProofBundleFrame::decode(frame.body);
         proto::CheckResultFrame result;
@@ -338,9 +309,6 @@ int run_checker(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opti
         endpoint.send_control(from, proto::NodeFrameType::kCheckResult, result.encode());
         break;
       }
-      case proto::NodeFrameType::kShutdown:
-        tcp.stop();
-        break;
       default:
         std::fprintf(stderr, "checker: unexpected frame type %u from peer %u\n",
                      static_cast<unsigned>(frame.type), from);
@@ -377,24 +345,18 @@ int run_proofgen(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opt
   // (loadgen --verify-rounds > 1) sends many per-round requests for the
   // same (elector, commit_time); only the first pays the log transfer and
   // checkpoint+replay — the rest slice proofs out of the cached MTT.
-  //
-  // Destruction order matters: the shadow recorder holds references into
-  // the other members, so `shadow`/`generator` are declared last (destroyed
-  // first).
   struct ReconEntry {
-    std::unique_ptr<netsim::Simulator> sim;
-    std::unique_ptr<bgp::Speaker> speaker;
-    std::unique_ptr<transport::NetsimTransport> shadow_endpoint;
-    std::unique_ptr<core::KeyRegistry> keys;
-    std::unique_ptr<crypto::HashSigner> signer;
-    std::unique_ptr<proto::Recorder> shadow;
-    std::unique_ptr<proto::ProofGenerator> generator;
-    /// nullopt when reconstruction threw: such requests answer with empty
-    /// proof sets (and root_matches = 0), exactly like the uncached path.
+    proto::MessageLog log;
+    proto::ProofGenerator generator;  // references `log`
+    /// nullopt when the transfer or the reconstruction failed: such
+    /// requests answer with empty proof sets (and root_matches = 0).
     std::optional<proto::ProofGenerator::Reconstruction> recon;
     /// Memoizes per-prefix proof material across the session's rounds
     /// (valid for exactly this reconstruction's tree + seed).
-    std::unique_ptr<core::MttProofMemo> memo;
+    core::MttProofMemo memo;
+
+    explicit ReconEntry(proto::ElectorParams params) : generator(log, std::move(params)) {}
+    ReconEntry(const ReconEntry&) = delete;  // a copy's generator would read this log
   };
   using ReconKey = std::pair<std::uint32_t, proto::Time>;
   std::map<ReconKey, ReconEntry> recon_cache;
@@ -409,10 +371,7 @@ int run_proofgen(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opt
     proto::ProofRequestFrame request;
   };
   std::deque<QueuedRequest> waiting;
-  struct Transfer {
-    std::vector<util::Bytes> entries, checkpoints, commitments;
-  };
-  std::optional<Transfer> transfer;
+  std::optional<proto::LogTransfer> transfer;
 
   auto answer_from_cache = [&](const QueuedRequest& queued, ReconEntry& entry) {
     const proto::ProofRequestFrame& request = queued.request;
@@ -436,11 +395,11 @@ int run_proofgen(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opt
         }
         subset = &chunk;
       }
-      const proto::ProofOptions options{std::nullopt, subset, entry.memo.get()};
+      const proto::ProofOptions options{std::nullopt, subset, &entry.memo};
       bundle.producer_proofs =
-          entry.generator->proofs_for_producer(*entry.recon, request.consumer, options).encode();
+          entry.generator.proofs_for_producer(*entry.recon, request.consumer, options).encode();
       bundle.consumer_proofs =
-          entry.generator->proofs_for_consumer(*entry.recon, request.consumer, options).encode();
+          entry.generator.proofs_for_consumer(*entry.recon, request.consumer, options).encode();
     } else {
       bundle.producer_proofs = proto::ProducerProofs{}.encode();
       bundle.consumer_proofs = proto::ConsumerProofs{}.encode();
@@ -468,71 +427,30 @@ int run_proofgen(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opt
   };
 
   auto finish_transfer = [&] {
-    // Rebuild the elector's log preserving the transferred seq numbers and
-    // authenticators — the recorder prunes committed rounds, so the chain
-    // may start mid-sequence.  verify_chain() recomputes the whole chain
-    // from the first retained entry's base authenticator, so a tampered
-    // transfer still fails even though the entries arrive pre-chained.
-    proto::MessageLog log;
-    for (const util::Bytes& bytes : transfer->entries) {
-      log.append_entry(proto::LogEntry::decode(bytes));
-    }
-    for (const util::Bytes& bytes : transfer->checkpoints) {
-      proto::LogCheckpoint cp = proto::LogCheckpoint::decode(bytes);
-      log.add_checkpoint(cp.timestamp, std::move(cp.chunks));
-    }
-    for (const util::Bytes& bytes : transfer->commitments) {
-      log.record_commitment(proto::CommitmentRecord::decode(bytes));
-    }
+    const proto::LogTransfer done = std::move(*transfer);
     transfer.reset();
-    if (!log.verify_chain()) {
-      std::fprintf(stderr, "proofgen: transferred log failed chain verification\n");
-    }
     if (waiting.empty()) return;  // requester vanished mid-transfer
     const proto::ProofRequestFrame& request = waiting.front().request;
-
-    // Shadow recorder: same AS, same configuration, fed only by the log —
-    // the §6.5 checkpoint+replay path, here in a different OS process
-    // than the recorder that produced the log.
-    ReconEntry entry;
-    entry.sim = std::make_unique<netsim::Simulator>();
-    entry.speaker = std::make_unique<bgp::Speaker>(*entry.sim, request.elector, bgp::Policy{});
-    entry.sim->add_node(*entry.speaker, "shadow-bgp");
-    entry.shadow_endpoint = std::make_unique<transport::NetsimTransport>(*entry.sim);
-    entry.sim->add_node(*entry.shadow_endpoint, "shadow-rec");
-    entry.keys = std::make_unique<core::KeyRegistry>();
-    std::set<std::uint32_t> key_ases{request.elector};
-    for (std::uint32_t neighbor : opt.neighbors) key_ases.insert(neighbor);
-    nodetool::add_keys(*entry.keys, key_ases);
-    entry.signer = std::make_unique<crypto::HashSigner>(nodetool::key_of(request.elector));
-    proto::RecorderConfig rc;
-    rc.asn = request.elector;
-    rc.num_classes = opt.num_classes;
-    rc.commit_interval = opt.commit_interval;
-    rc.batch_window = opt.batch_window;
-    entry.shadow = std::make_unique<proto::Recorder>(*entry.shadow_endpoint, rc, *entry.signer,
-                                                     *entry.keys, *entry.speaker);
-    for (std::uint32_t neighbor : opt.neighbors) {
-      entry.shadow->add_neighbor(neighbor);
-      entry.shadow->set_promise(neighbor, core::Promise::total_order(opt.num_classes));
-    }
-    entry.shadow->restore_from(std::move(log));
-    entry.generator = std::make_unique<proto::ProofGenerator>(*entry.shadow);
-    entry.memo = std::make_unique<core::MttProofMemo>();
-    try {
-      entry.recon = entry.generator->reconstruct(request.commit_time, 1);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "proofgen: reconstruction failed: %s\n", e.what());
-    }
-    ++recon_builds;
 
     const ReconKey key{request.elector, request.commit_time};
     while (recon_cache.size() >= kReconCapacity) {
       recon_cache.erase(recon_fifo.front());
       recon_fifo.pop_front();
     }
-    recon_cache.emplace(key, std::move(entry));
+    ReconEntry& entry =
+        recon_cache.try_emplace(key, elector_params(opt, request.elector)).first->second;
     recon_fifo.push_back(key);
+    // Never prove from a log that fails to decode or to verify (§6.5): the
+    // entry keeps no reconstruction, so requests get root_matches = 0.
+    try {
+      entry.log = done.rebuild();
+      entry.recon = entry.generator.reconstruct(request.commit_time, 1);
+    } catch (const util::DecodeError& e) {
+      std::fprintf(stderr, "proofgen: rejecting transferred log: %s\n", e.what());
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "proofgen: reconstruction failed: %s\n", e.what());
+    }
+    ++recon_builds;
     service();
   };
 
@@ -546,29 +464,11 @@ int run_proofgen(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opt
         service();
         break;
       }
-      case proto::NodeFrameType::kLogSegment: {
-        if (!transfer) break;
-        proto::LogSegmentFrame segment = proto::LogSegmentFrame::decode(frame.body);
-        auto& sink = segment.kind == proto::LogSegmentFrame::kEntries ? transfer->entries
-                     : segment.kind == proto::LogSegmentFrame::kCheckpoints
-                         ? transfer->checkpoints
-                         : transfer->commitments;
-        for (util::Bytes& record : segment.records) sink.push_back(std::move(record));
+      case proto::NodeFrameType::kLogSegment:
+        if (transfer) transfer->add(proto::LogSegmentFrame::decode(frame.body));
         break;
-      }
       case proto::NodeFrameType::kLogEnd:
         if (transfer) finish_transfer();
-        break;
-      case proto::NodeFrameType::kStatsRequest: {
-        util::ByteReader r(frame.body);
-        proto::StatsFrame stats;
-        stats.token = r.u64();
-        r.expect_end();
-        endpoint.send_control(from, proto::NodeFrameType::kStats, stats.encode());
-        break;
-      }
-      case proto::NodeFrameType::kShutdown:
-        tcp.stop();
         break;
       default:
         std::fprintf(stderr, "proofgen: unexpected frame type %u from peer %u\n",

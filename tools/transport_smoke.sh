@@ -20,7 +20,7 @@ BIN="$BUILD_DIR/tools"
 UPDATES="${SMOKE_UPDATES:-100000}"
 PREFIXES="${SMOKE_PREFIXES:-4096}"
 # Equivalence classes per commitment; must agree across every process
-# (recorder promise, checker promise, proofgen shadow recorder).  16 keeps
+# (recorder promise, checker promise, proof generator's elector parameters).  16 keeps
 # the per-commit MTT labeling off the ingest path's critical measurements.
 CLASSES="${SMOKE_CLASSES:-16}"
 
