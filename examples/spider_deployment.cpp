@@ -10,9 +10,9 @@
 // Build & run:  ./build/examples/spider_deployment
 #include <cstdio>
 
-#include "spider/checker.hpp"
 #include "spider/deployment.hpp"
 #include "spider/proof_generator.hpp"
+#include "verify/session.hpp"
 
 using namespace spider;
 
@@ -36,22 +36,17 @@ void verify_as5(proto::Fig5Deployment& deploy, const proto::CommitmentRecord& re
               recon.root_matches ? "matches" : "MISMATCH", recon.reconstruct_seconds,
               recon.state.all_prefixes().size());
 
+  const core::Promise promise = core::Promise::total_order(50);
   for (bgp::AsNumber neighbor : deploy.neighbors_of(5)) {
-    auto commit = deploy.recorder(neighbor).received_commitments().at(5).at(record.timestamp);
-    const auto& rec = deploy.recorder(neighbor);
-
-    std::map<bgp::Prefix, std::vector<bgp::Route>> window;
-    for (const auto& [prefix, route] : rec.my_exports_to(5)) window[prefix] = {route};
-    auto as_producer = proto::Checker::check_producer_proofs(
-        commit, 5, window, generator.proofs_for_producer(recon, neighbor), rec.classifier());
-
-    auto as_consumer = proto::Checker::check_consumer_proofs(
-        commit, 5, core::Promise::total_order(50), rec.my_imports_from(5),
-        generator.proofs_for_consumer(recon, neighbor), neighbor, rec.classifier());
-
+    // Each neighbor's checker checks one round covering every prefix.
+    const auto view =
+        verify::checker_view(deploy.recorder(neighbor), 5, record.timestamp, &promise);
+    const auto found =
+        verify::check_round(view.value(), generator.proofs_for_producer(recon, neighbor),
+                            generator.proofs_for_consumer(recon, neighbor));
     std::printf("  AS%-2u producer-check: %-40s consumer-check: %s\n", neighbor,
-                as_producer ? as_producer->detail.c_str() : "ok",
-                as_consumer ? as_consumer->detail.c_str() : "ok");
+                found.producer ? found.producer->detail.c_str() : "ok",
+                found.consumer ? found.consumer->detail.c_str() : "ok");
   }
 }
 

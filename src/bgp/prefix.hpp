@@ -3,6 +3,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -42,5 +43,8 @@ class Prefix {
   std::uint32_t bits_ = 0;
   std::uint8_t length_ = 0;
 };
+
+/// Which prefixes a proof set or a check covers; empty = every prefix.
+using PrefixFilter = std::function<bool(const Prefix&)>;
 
 }  // namespace spider::bgp

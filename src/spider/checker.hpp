@@ -24,8 +24,7 @@ namespace spider::proto {
 
 /// Pluggable bit-proof verifier: (root, num_classes, proof) -> opens?
 /// Session engines (src/verify) substitute a memoizing verifier here; the
-/// default forwards to core::Mtt::verify, so every overload without an
-/// explicit function behaves exactly as before.
+/// default is core::Mtt::verify.
 using ProofVerifyFn =
     std::function<bool(const Digest20&, std::uint32_t, const core::MttPrefixProof&)>;
 
@@ -38,23 +37,16 @@ class Checker {
   static std::optional<core::Detection> check_producer_proofs(
       const SpiderCommit& commit, bgp::AsNumber elector,
       const std::map<bgp::Prefix, std::vector<bgp::Route>>& my_window_routes,
-      const ProducerProofs& proofs, const core::Classifier& classifier);
-  static std::optional<core::Detection> check_producer_proofs(
-      const SpiderCommit& commit, bgp::AsNumber elector,
-      const std::map<bgp::Prefix, std::vector<bgp::Route>>& my_window_routes,
       const ProducerProofs& proofs, const core::Classifier& classifier,
-      const ProofVerifyFn& verify);
+      const ProofVerifyFn& verify = core::Mtt::verify);
 
   /// `my_imports` maps each prefix to the route this neighbor currently
   /// holds from the elector (its own Adj-RIB-In mirror).
   static std::optional<core::Detection> check_consumer_proofs(
       const SpiderCommit& commit, bgp::AsNumber elector, const core::Promise& promise,
       const std::map<bgp::Prefix, bgp::Route>& my_imports, const ConsumerProofs& proofs,
-      bgp::AsNumber self, const core::Classifier& classifier);
-  static std::optional<core::Detection> check_consumer_proofs(
-      const SpiderCommit& commit, bgp::AsNumber elector, const core::Promise& promise,
-      const std::map<bgp::Prefix, bgp::Route>& my_imports, const ConsumerProofs& proofs,
-      bgp::AsNumber self, const core::Classifier& classifier, const ProofVerifyFn& verify);
+      bgp::AsNumber self, const core::Classifier& classifier,
+      const ProofVerifyFn& verify = core::Mtt::verify);
 
   /// Extended verification, consumer side (§6.6): every route this
   /// consumer holds from the elector must be covered by a RE-ANNOUNCE from

@@ -1,6 +1,7 @@
 #include "spider/log.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "crypto/ct.hpp"
 #include "util/serde.hpp"
@@ -143,19 +144,7 @@ void MessageLog::record_commitment(const CommitmentRecord& record) {
 }
 
 bool MessageLog::verify_chain() const {
-  Digest20 prev{};
-  if (!entries_.empty() && entries_.front().seq != 0) {
-    // Pruned log: the first remaining entry carries the base; recompute
-    // forward from its stored authenticator.
-    prev = entries_.front().authenticator;
-    for (std::size_t i = 1; i < entries_.size(); ++i) {
-      if (!crypto::constant_time_equal(chain_hash(prev, entries_[i]), entries_[i].authenticator)) {
-        return false;
-      }
-      prev = entries_[i].authenticator;
-    }
-    return true;
-  }
+  Digest20 prev = base_;
   for (const LogEntry& entry : entries_) {
     if (!crypto::constant_time_equal(chain_hash(prev, entry), entry.authenticator)) return false;
     prev = entry.authenticator;
@@ -191,6 +180,7 @@ void MessageLog::prune_before(Time cutoff) {
     message_bytes_ -= del->message.size();
     signature_bytes_ -= del->signature_bytes;
   }
+  if (it != entries_.begin()) base_ = std::prev(it)->authenticator;
   entries_.erase(entries_.begin(), it);
 
   // Keep the newest checkpoint older than the cutoff — replay of the oldest

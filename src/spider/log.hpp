@@ -89,8 +89,16 @@ class MessageLog {
   void add_checkpoint(Time timestamp, std::vector<Bytes> state_chunks);
   void record_commitment(const CommitmentRecord& record);
 
-  /// Verifies the hash chain; false if any entry was altered.
+  /// Verifies the hash chain from chain_base(); false if any entry was
+  /// altered.
   bool verify_chain() const;
+
+  /// The authenticator the first retained entry chains from: zero until
+  /// pruning, then the authenticator of the last pruned entry.
+  const Digest20& chain_base() const { return base_; }
+  /// Starts an empty log's chain at `base` — the audit-transfer path,
+  /// before the sender's retained entries arrive through append_entry().
+  void set_chain_base(const Digest20& base) { base_ = head_ = base; }
 
   /// The most recent checkpoint with timestamp <= t, if any.
   const LogCheckpoint* checkpoint_before(Time t) const;
@@ -106,8 +114,8 @@ class MessageLog {
   const std::vector<LogEntry>& entries() const { return entries_; }
 
   /// Discards entries, checkpoints and commitments older than `cutoff`
-  /// (the retention time R of §6.5).  The chain stays verifiable from the
-  /// stored base authenticator.
+  /// (the retention time R of §6.5).  The chain stays verifiable from
+  /// chain_base().
   void prune_before(Time cutoff);
 
   // --- storage accounting (§7.7)
@@ -121,7 +129,8 @@ class MessageLog {
   std::vector<LogEntry> entries_;
   std::vector<LogCheckpoint> checkpoints_;
   std::map<Time, CommitmentRecord> commitments_;
-  Digest20 head_{};  // chain head (base authenticator after pruning)
+  Digest20 base_{};  // authenticator entries_.front() chains from
+  Digest20 head_{};  // authenticator the next append chains from
   std::uint64_t next_seq_ = 0;
   std::uint64_t message_bytes_ = 0;
   std::uint64_t signature_bytes_ = 0;

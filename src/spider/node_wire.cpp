@@ -77,16 +77,22 @@ LogSegmentFrame LogSegmentFrame::decode(ByteSpan data) {
   util::ByteReader r(data);
   LogSegmentFrame frame;
   frame.kind = r.u8();
-  if (frame.kind > kCommitments) throw util::DecodeError("LogSegmentFrame: bad kind");
+  if (frame.kind > kChainBase) throw util::DecodeError("LogSegmentFrame: bad kind");
   std::uint32_t n = r.check_count(r.u32(), 4, "LogSegmentFrame records");
   frame.records.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) frame.records.push_back(r.bytes());
   r.expect_end();
+  if (frame.kind == kChainBase &&
+      (n != 1 || frame.records.front().size() != sizeof(Digest20))) {
+    throw util::DecodeError("LogSegmentFrame: chain base is not one 20-byte digest");
+  }
   return frame;
 }
 
 void stream_log(const MessageLog& log, const std::function<void(const LogSegmentFrame&)>& emit) {
   constexpr std::size_t kBatch = 256;
+  const Digest20& base = log.chain_base();
+  emit({LogSegmentFrame::kChainBase, {Bytes(base.begin(), base.end())}});
   LogSegmentFrame segment{LogSegmentFrame::kEntries, {}};
   for (const LogEntry& entry : log.entries()) {
     segment.records.push_back(entry.encode());
@@ -105,6 +111,11 @@ void stream_log(const MessageLog& log, const std::function<void(const LogSegment
 }
 
 void LogTransfer::add(LogSegmentFrame segment) {
+  if (segment.kind == LogSegmentFrame::kChainBase) {
+    util::ByteReader r(segment.records.at(0));
+    chain_base = r.digest();
+    return;
+  }
   auto& sink = segment.kind == LogSegmentFrame::kEntries       ? entries
                : segment.kind == LogSegmentFrame::kCheckpoints ? checkpoints
                                                                : commitments;
@@ -113,6 +124,7 @@ void LogTransfer::add(LogSegmentFrame segment) {
 
 MessageLog LogTransfer::rebuild() const {
   MessageLog log;
+  log.set_chain_base(chain_base);
   for (const Bytes& bytes : entries) log.append_entry(LogEntry::decode(bytes));
   for (const Bytes& bytes : checkpoints) {
     LogCheckpoint cp = LogCheckpoint::decode(bytes);
@@ -140,6 +152,13 @@ std::uint32_t proof_round_of(const bgp::Prefix& prefix, std::uint32_t round_coun
   mix(static_cast<std::uint8_t>(bits));
   mix(prefix.length());
   return h % round_count;
+}
+
+bgp::PrefixFilter proof_round_filter(std::uint32_t round, std::uint32_t round_count) {
+  if (round_count <= 1) return {};
+  return [round, round_count](const bgp::Prefix& prefix) {
+    return proof_round_of(prefix, round_count) == round;
+  };
 }
 
 namespace {

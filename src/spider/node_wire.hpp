@@ -89,26 +89,30 @@ struct StatsFrame {
 };
 
 /// One batch of log records during a kLogRequest transfer.  Entries stream
-/// in append order so the receiver's rebuilt MessageLog reproduces the
-/// identical hash chain (both sides start from seq 0 / zero head).
+/// in append order after the chain base, so the receiver's rebuilt
+/// MessageLog reproduces the identical hash chain.
 struct LogSegmentFrame {
-  enum Kind : std::uint8_t { kEntries = 0, kCheckpoints = 1, kCommitments = 2 };
+  enum Kind : std::uint8_t { kEntries = 0, kCheckpoints = 1, kCommitments = 2, kChainBase = 3 };
   std::uint8_t kind = kEntries;
-  std::vector<Bytes> records;  // LogEntry / LogCheckpoint / CommitmentRecord encodings
+  /// LogEntry / LogCheckpoint / CommitmentRecord encodings, or for
+  /// kChainBase exactly one 20-byte MessageLog::chain_base().
+  std::vector<Bytes> records;
 
   Bytes encode() const;
   static LogSegmentFrame decode(ByteSpan data);
 };
 
 /// The sending end of a kLogRequest transfer: `log` as kLogSegment bodies
-/// — entries in append order, batched — then one segment of checkpoints
-/// and one of commitments.  The caller sends kLogEnd after the last.
+/// — the chain base, the entries in append order, batched, then one
+/// segment of checkpoints and one of commitments.  The caller sends
+/// kLogEnd after the last.
 void stream_log(const MessageLog& log, const std::function<void(const LogSegmentFrame&)>& emit);
 
 /// The receiving end of a kLogRequest transfer: kLogSegment records
 /// accumulate by kind until kLogEnd, then rebuild() yields the sender's log.
 struct LogTransfer {
   std::vector<Bytes> entries, checkpoints, commitments;
+  Digest20 chain_base{};
 
   void add(LogSegmentFrame segment);
 
@@ -126,6 +130,11 @@ struct LogTransfer {
 /// sides agree on which prefixes it covers.  round_count <= 1 collapses
 /// to the single full-set round.
 std::uint32_t proof_round_of(const bgp::Prefix& prefix, std::uint32_t round_count);
+
+/// The prefixes round `round` of `round_count` covers, by proof_round_of;
+/// empty (every prefix) when round_count <= 1.  The proof generator proves
+/// and the checker checks under the same filter.
+bgp::PrefixFilter proof_round_filter(std::uint32_t round, std::uint32_t round_count);
 
 struct ProofRequestFrame {
   std::uint32_t elector = 0;

@@ -142,8 +142,7 @@ ProducerProofs ProofGenerator::proofs_for_producer(const Reconstruction& recon,
   if (inputs_it == recon.state.inputs().end()) return proofs;
 
   for (const auto& [prefix, record] : inputs_it->second) {
-    if (options.within && !options.within->contains(prefix)) continue;
-    if (options.subset != nullptr && options.subset->count(prefix) == 0) continue;
+    if (options.filter && !options.filter(prefix)) continue;
     // Loose sync (§6.4): the elector may justify itself against any
     // in-window value from this producer that would not have been
     // preferred over the actual output.  We scan newest-first, so when the
@@ -196,8 +195,7 @@ ConsumerProofs ProofGenerator::proofs_for_consumer(const Reconstruction& recon,
   if (exports_it == recon.state.exports().end()) return proofs;
 
   for (const auto& [prefix, record] : exports_it->second) {
-    if (options.within && !options.within->contains(prefix)) continue;
-    if (options.subset != nullptr && options.subset->count(prefix) == 0) continue;
+    if (options.filter && !options.filter(prefix)) continue;
     bgp::Route underlying = underlying_route(record.route, params_.config.asn);
     core::ClassId cls = classifier_.classify(underlying);
     std::vector<core::ClassId> better = promise_it->second.classes_better_than(cls);

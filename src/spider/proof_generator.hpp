@@ -73,16 +73,13 @@ struct ReAnnounceSet {
 
 /// Restrictions on one proofs_for_producer / proofs_for_consumer call.
 struct ProofOptions {
-  /// Proves only prefixes inside this covering prefix — the §7.3
-  /// suggestion for keeping proof sizes down ("its neighbors could trigger
-  /// verification for smaller subtrees, e.g., all prefixes in 32.0.0/8").
-  /// nullopt = everything.
-  std::optional<bgp::Prefix> within;
-  /// Proves only prefixes in this set (one challenge round's worth in a
-  /// pipelined session, src/verify).  The union of the proofs over a
-  /// partition of the prefix space equals the unrestricted proof set
-  /// item-for-item.  nullptr = no restriction.
-  const std::set<bgp::Prefix>* subset = nullptr;
+  /// Proves only the prefixes it accepts (empty = all): one challenge
+  /// round's share, which the checker of that round applies too, or the
+  /// §7.3 covering prefix ("its neighbors could trigger verification for
+  /// smaller subtrees, e.g., all prefixes in 32.0.0/8").  The union of the
+  /// proofs over filters that partition the prefix space equals the
+  /// unrestricted proof set item-for-item.
+  bgp::PrefixFilter filter;
   /// Caches the class-independent proof material across calls against the
   /// same reconstruction — a session proves each prefix once per neighbor
   /// role, so the memo collapses the repeat PRF/digest work.  Optional.

@@ -1,9 +1,5 @@
 #include "spider/verification.hpp"
 
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
-#include "util/timers.hpp"
-
 namespace spider::proto {
 
 bool VerificationReport::clean() const {
@@ -34,9 +30,5 @@ std::vector<std::string> VerificationReport::findings() const {
   }
   return out;
 }
-
-// run_verification is defined in src/verify/session.cpp: the session
-// engine's sequential configuration reproduces this module's original
-// flow, and the pipelined/cached configurations live beside it.
 
 }  // namespace spider::proto

@@ -1,9 +1,9 @@
 #include "verify/session.hpp"
 
+#include <algorithm>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -12,7 +12,7 @@
 #include "crypto/rsa.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "util/serde.hpp"
+#include "spider/node_wire.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timers.hpp"
 
@@ -113,29 +113,85 @@ void CachedProofVerifier::drain_into(SessionStats& stats) const {
   }
 }
 
+// ------------------------------------------------------------------ rounds
+
+std::optional<CheckerView> checker_view(const proto::Recorder& checker, bgp::AsNumber elector,
+                                        proto::Time commit_time, const core::Promise* promise,
+                                        const std::optional<bgp::Prefix>& within) {
+  const auto& received = checker.received_commitments();
+  auto elector_it = received.find(elector);
+  if (elector_it == received.end() || elector_it->second.count(commit_time) == 0) {
+    return std::nullopt;
+  }
+  CheckerView view{elector_it->second.at(commit_time), elector, checker.config().asn, {}, {},
+                   promise, &checker.classifier()};
+  for (const auto& [prefix, route] : checker.my_exports_to(elector)) {
+    if (!within || within->contains(prefix)) view.window[prefix] = {route};
+  }
+  for (auto& [prefix, route] : checker.my_imports_from(elector)) {
+    if (!within || within->contains(prefix)) view.imports.emplace(prefix, std::move(route));
+  }
+  return view;
+}
+
+namespace {
+
+/// `map` itself when `filter` is empty, else its accepted entries, copied
+/// into `scratch`.
+template <typename Map>
+const Map& restricted(const Map& map, const bgp::PrefixFilter& filter, Map& scratch) {
+  if (!filter) return map;
+  for (const auto& entry : map) {
+    if (filter(entry.first)) scratch.insert(scratch.end(), entry);
+  }
+  return scratch;
+}
+
+}  // namespace
+
+RoundDetections check_round(const CheckerView& view, const proto::ProducerProofs& producer,
+                            const proto::ConsumerProofs& consumer,
+                            const bgp::PrefixFilter& filter, const proto::ProofVerifyFn& verify) {
+  RoundDetections found;
+  decltype(view.window) window;
+  found.producer = proto::Checker::check_producer_proofs(
+      view.commit, view.elector, restricted(view.window, filter, window), producer,
+      *view.classifier, verify);
+  if (view.promise != nullptr) {
+    decltype(view.imports) imports;
+    found.consumer = proto::Checker::check_consumer_proofs(
+        view.commit, view.elector, *view.promise, restricted(view.imports, filter, imports),
+        consumer, view.self, *view.classifier, verify);
+  }
+  return found;
+}
+
 // --------------------------------------------------------------- sessions
 
 namespace {
 
-enum class Role : std::uint8_t { kProducer = 0, kConsumer = 1 };
-
-/// One challenge/response round: the elector proves one chunk of one
-/// neighbor's prefix set in one role, and signs the bundle.
-struct RoundTask {
-  std::size_t plan_index = 0;
+/// Per-neighbor session state: the checker's own view plus verdict slots.
+struct NeighborPlan {
   bgp::AsNumber neighbor = 0;
-  Role role = Role::kProducer;
-  std::size_t chunk_index = 0;
-  /// The checker prefixes this round covers; nullopt = the whole set in
-  /// sequential layout (no subset filter, extras included as before).
-  std::optional<std::set<bgp::Prefix>> subset;
+  std::optional<CheckerView> view;  // nullopt: no commitment received
+  std::optional<core::Detection> producer_detection;
+  std::optional<core::Detection> consumer_detection;
+};
+
+/// One challenge/response round: the elector proves both roles for one
+/// chunk of one neighbor's prefixes, and signs the bundle.
+struct RoundTask {
+  NeighborPlan* plan = nullptr;
+  std::uint32_t round = 0;
+  std::uint32_t round_count = 1;
+  bgp::PrefixFilter filter;
 
   // Filled by the worker.
   proto::ProducerProofs producer;
   proto::ConsumerProofs consumer;
-  Bytes payload;    // encoded proofs (the shipped bytes)
-  Bytes bundle;     // signed message: context header + payload
-  Bytes signature;  // elector's signature over `bundle`
+  std::size_t payload_bytes = 0;  // the two proof-set encodings (the shipped bytes)
+  Bytes bundle;                   // signed message: the ProofBundleFrame encoding
+  Bytes signature;                // elector's signature over `bundle`
   std::exception_ptr error;
   bool done = false;  // guarded by the session mutex
 
@@ -143,56 +199,38 @@ struct RoundTask {
   bool signature_ok = false;
 };
 
-/// Per-neighbor session state: the checker's own view plus verdict slots.
-struct NeighborPlan {
-  bgp::AsNumber neighbor = 0;
-  bool have_commit = false;
-  proto::SpiderCommit commit;
-  std::map<bgp::Prefix, std::vector<bgp::Route>> window;
-  std::map<bgp::Prefix, bgp::Route> imports;
-  const core::Promise* promise = nullptr;
-  std::optional<core::Detection> producer_detection;
-  std::optional<core::Detection> consumer_detection;
-};
-
-/// Splits the sorted keys of `keys` into consecutive chunks of
-/// `round_prefixes` (sorted order is what makes per-round detections
-/// concatenate to the sequential first-detection).
-template <typename Map>
-std::vector<std::set<bgp::Prefix>> chunk_keys(const Map& map, std::size_t round_prefixes) {
-  std::vector<std::set<bgp::Prefix>> chunks;
-  std::set<bgp::Prefix> current;
-  for (const auto& [prefix, value] : map) {
-    current.insert(prefix);
-    if (current.size() == round_prefixes) {
-      chunks.push_back(std::move(current));
-      current.clear();
+/// Appends `plan`'s rounds to `tasks`: the sorted union of its export and
+/// import keys cut into runs of `round_prefixes` (0 = one run), each round
+/// covering the key range [its run's first key, the next run's first key),
+/// open below for the first round and above for the last, inside `within`.
+void schedule_rounds(NeighborPlan& plan, std::size_t round_prefixes,
+                     const std::optional<bgp::Prefix>& within, std::vector<RoundTask>& tasks) {
+  std::vector<bgp::Prefix> starts;  // first key of every run but the first
+  if (round_prefixes != 0) {
+    std::vector<bgp::Prefix> keys;
+    for (const auto& [prefix, routes] : plan.view->window) keys.push_back(prefix);
+    for (const auto& [prefix, route] : plan.view->imports) keys.push_back(prefix);
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    for (std::size_t i = round_prefixes; i < keys.size(); i += round_prefixes) {
+      starts.push_back(keys[i]);
     }
   }
-  if (!current.empty()) chunks.push_back(std::move(current));
-  return chunks;
-}
-
-Bytes round_bundle_bytes(bgp::AsNumber elector, proto::Time commit_time, const RoundTask& task) {
-  util::ByteWriter w;
-  w.u32(elector);
-  w.i64(commit_time);
-  w.u32(task.neighbor);
-  w.u8(static_cast<std::uint8_t>(task.role));
-  w.u32(static_cast<std::uint32_t>(task.chunk_index));
-  w.bytes(task.payload);
-  return w.take();
-}
-
-template <typename Map>
-Map restrict_to(const Map& map, const std::optional<std::set<bgp::Prefix>>& subset) {
-  if (!subset) return map;
-  Map out;
-  for (const auto& prefix : *subset) {
-    auto it = map.find(prefix);
-    if (it != map.end()) out.insert(*it);
+  const auto round_count = static_cast<std::uint32_t>(starts.size() + 1);
+  for (std::uint32_t round = 0; round < round_count; ++round) {
+    RoundTask& task = tasks.emplace_back();
+    task.plan = &plan;
+    task.round = round;
+    task.round_count = round_count;
+    std::optional<bgp::Prefix> lower, upper;
+    if (round > 0) lower = starts[round - 1];
+    if (round + 1 < round_count) upper = starts[round];
+    if (!lower && !upper && !within) continue;  // the whole space: no filter
+    task.filter = [lower, upper, within](const bgp::Prefix& prefix) {
+      return (!lower || *lower <= prefix) && (!upper || prefix < *upper) &&
+             (!within || within->contains(prefix));
+    };
   }
-  return out;
 }
 
 }  // namespace
@@ -210,18 +248,20 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
   report.commit_time = commit_time;
 
   const std::vector<bgp::AsNumber> neighbors = deploy.neighbors_of(elector);
+  const auto& promises = deploy.recorder(elector).promises();
 
-  // --- Phase 1: commitment cross-check among the neighbors (§4.5 step 1).
+  // --- Phase 1: each neighbor's checker view, and the commitment
+  // cross-check among the neighbors (§4.5 step 1).
+  std::vector<NeighborPlan> plans;
   std::vector<proto::SpiderCommit> commits;
-  std::map<bgp::AsNumber, proto::SpiderCommit> commit_of;
   for (bgp::AsNumber neighbor : neighbors) {
-    const auto& received = deploy.recorder(neighbor).received_commitments();
-    auto elector_it = received.find(elector);
-    if (elector_it == received.end()) continue;
-    auto time_it = elector_it->second.find(commit_time);
-    if (time_it == elector_it->second.end()) continue;
-    commits.push_back(time_it->second);
-    commit_of.emplace(neighbor, time_it->second);
+    auto promise_it = promises.find(neighbor);
+    NeighborPlan& plan = plans.emplace_back();
+    plan.neighbor = neighbor;
+    plan.view = checker_view(deploy.recorder(neighbor), elector, commit_time,
+                             promise_it != promises.end() ? &promise_it->second : nullptr,
+                             within);
+    if (plan.view) commits.push_back(plan.view->commit);
   }
   report.equivocation = proto::Checker::cross_check_commits(elector, commits);
 
@@ -248,56 +288,9 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
   util::WallTimer session_timer;
 
   // --- Phase 3a: the round schedule, in neighbor order then chunk order.
-  std::vector<NeighborPlan> plans;
-  plans.reserve(neighbors.size());
   std::vector<RoundTask> tasks;
-  for (bgp::AsNumber neighbor : neighbors) {
-    NeighborPlan plan;
-    plan.neighbor = neighbor;
-    auto commit_it = commit_of.find(neighbor);
-    plan.have_commit = commit_it != commit_of.end();
-    if (!plan.have_commit) {
-      plans.push_back(std::move(plan));
-      continue;
-    }
-    plan.commit = commit_it->second;
-    const auto& rec = deploy.recorder(neighbor);
-    for (const auto& [prefix, route] : rec.my_exports_to(elector)) {
-      if (within && !within->contains(prefix)) continue;
-      plan.window[prefix] = {route};
-    }
-    for (const auto& [prefix, route] : rec.my_imports_from(elector)) {
-      if (within && !within->contains(prefix)) continue;
-      plan.imports.emplace(prefix, route);
-    }
-    const auto& promises = deploy.recorder(elector).promises();
-    auto promise_it = promises.find(neighbor);
-    if (promise_it != promises.end()) plan.promise = &promise_it->second;
-
-    const std::size_t plan_index = plans.size();
-    auto schedule_role = [&](Role role, auto& prefix_map) {
-      if (config.round_prefixes == 0) {
-        RoundTask task;
-        task.plan_index = plan_index;
-        task.neighbor = neighbor;
-        task.role = role;
-        tasks.push_back(std::move(task));  // whole set, sequential layout
-        return;
-      }
-      auto chunks = chunk_keys(prefix_map, config.round_prefixes);
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        RoundTask task;
-        task.plan_index = plan_index;
-        task.neighbor = neighbor;
-        task.role = role;
-        task.chunk_index = c;
-        task.subset = std::move(chunks[c]);
-        tasks.push_back(std::move(task));
-      }
-    };
-    schedule_role(Role::kProducer, plan.window);
-    schedule_role(Role::kConsumer, plan.imports);
-    plans.push_back(std::move(plan));
+  for (NeighborPlan& plan : plans) {
+    if (plan.view) schedule_rounds(plan, config.round_prefixes, within, tasks);
   }
 
   // --- Phase 3b: the pipeline.  Workers generate and sign round bundles;
@@ -312,15 +305,15 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
   core::MttProofMemo proof_memo;
   core::MttProofMemo* memo = config.use_cache ? &proof_memo : nullptr;
   auto run_round = [&](RoundTask& task) {
-    const proto::ProofOptions options{within, task.subset ? &*task.subset : nullptr, memo};
-    if (task.role == Role::kProducer) {
-      task.producer = generator.proofs_for_producer(recon, task.neighbor, options);
-      task.payload = task.producer.encode();
-    } else {
-      task.consumer = generator.proofs_for_consumer(recon, task.neighbor, options);
-      task.payload = task.consumer.encode();
-    }
-    task.bundle = round_bundle_bytes(elector, commit_time, task);
+    const proto::ProofOptions options{task.filter, memo};
+    task.producer = generator.proofs_for_producer(recon, task.plan->neighbor, options);
+    task.consumer = generator.proofs_for_consumer(recon, task.plan->neighbor, options);
+    // The signed bundle is the socket plane's frame for the same round.
+    const proto::ProofBundleFrame frame{elector, commit_time, task.plan->neighbor, task.round,
+                                        task.round_count, recon.root_matches,
+                                        task.producer.encode(), task.consumer.encode()};
+    task.payload_bytes = frame.producer_proofs.size() + frame.consumer_proofs.size();
+    task.bundle = frame.encode();
     task.signature = signer.sign(ByteSpan{task.bundle.data(), task.bundle.size()});
   };
 
@@ -362,33 +355,21 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
     }
     stats.signatures_verified += pending.size();
 
-    // Run the checkers for the flushed rounds, in round order.
+    // Run the checkers for the flushed rounds, in round order; the first
+    // detection per (neighbor, role) wins.
     for (RoundTask* task : pending) {
-      NeighborPlan& plan = plans[task->plan_index];
-      const auto& rec = deploy.recorder(plan.neighbor);
-      if (!task->signature_ok) {
+      NeighborPlan& plan = *task->plan;
+      RoundDetections found;
+      if (task->signature_ok) {
+        found = check_round(*plan.view, task->producer, task->consumer, task->filter, verify_fn);
+      } else {
         ++stats.bad_signatures;
-        auto& slot =
-            task->role == Role::kProducer ? plan.producer_detection : plan.consumer_detection;
-        if (!slot) {
-          slot = core::Detection{core::FaultKind::kBadSignature, elector,
-                                 "proof bundle signature failed"};
-        }
-        continue;
+        const core::Detection bad{core::FaultKind::kBadSignature, elector,
+                                  "proof bundle signature failed"};
+        found = {bad, bad};
       }
-      if (task->role == Role::kProducer) {
-        auto window = restrict_to(plan.window, task->subset);
-        auto detection = proto::Checker::check_producer_proofs(
-            plan.commit, elector, window, task->producer, rec.classifier(), verify_fn);
-        if (detection && !plan.producer_detection) plan.producer_detection = detection;
-      } else if (plan.promise != nullptr) {
-        auto imports = restrict_to(plan.imports, task->subset);
-        auto detection = proto::Checker::check_consumer_proofs(plan.commit, elector,
-                                                               *plan.promise, imports,
-                                                               task->consumer, plan.neighbor,
-                                                               rec.classifier(), verify_fn);
-        if (detection && !plan.consumer_detection) plan.consumer_detection = detection;
-      }
+      if (!plan.producer_detection) plan.producer_detection = std::move(found.producer);
+      if (!plan.consumer_detection) plan.consumer_detection = std::move(found.consumer);
     }
     pending.clear();
   };
@@ -400,10 +381,10 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
 
   if (inline_rounds) {
     // The sequential baseline: generate, sign, verify, check — one round
-    // at a time on this thread, exactly the pre-engine flow.
+    // at a time on this thread.
     for (RoundTask& task : tasks) {
       run_round(task);
-      stats.bytes_shipped += task.payload.size();
+      stats.bytes_shipped += task.payload_bytes;
       ++stats.challenge_round_trips;
       pending.push_back(&task);
       flush_signatures();
@@ -451,7 +432,7 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
         continue;
       }
       if (first_error != nullptr) continue;  // drain without checking
-      stats.bytes_shipped += task.payload.size();
+      stats.bytes_shipped += task.payload_bytes;
       ++stats.challenge_round_trips;
       pending.push_back(&task);
       if (pending.size() >= flush_size) flush_signatures();
@@ -466,7 +447,7 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
   for (NeighborPlan& plan : plans) {
     proto::NeighborVerdict verdict;
     verdict.neighbor = plan.neighbor;
-    if (!plan.have_commit) {
+    if (!plan.view) {
       verdict.as_consumer = core::Detection{core::FaultKind::kMissingMessage, elector,
                                             "no commitment received for this round"};
       report.verdicts.push_back(std::move(verdict));
@@ -477,7 +458,7 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
     if (extended) {
       auto selected = generator.select_re_announcements(recon, plan.neighbor, re_sets);
       verdict.extended =
-          proto::Checker::check_re_announcements(elector, plan.imports, selected);
+          proto::Checker::check_re_announcements(elector, plan.view->imports, selected);
     }
     report.verdicts.push_back(std::move(verdict));
   }
@@ -511,9 +492,8 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
 
 namespace spider::proto {
 
-// The sequential entry point every existing caller uses: one round per
-// (neighbor, role), scalar signature checks, no cache — the engine's
-// default configuration reproduces the pre-engine flow.
+// The sequential entry point: one round per neighbor, scalar signature
+// checks, no cache.
 VerificationReport run_verification(Fig5Deployment& deploy, bgp::AsNumber elector,
                                     Time commit_time, bool extended,
                                     std::optional<bgp::Prefix> within) {

@@ -1,14 +1,18 @@
-// The pipelined verification-session engine (ROADMAP item 5).
+// The verification-session engine.
 //
 // A SPIDeR verification session (§4.5 / §6.1) is a sequence of
 // challenge/response rounds between the elector's proof generator and its
-// neighbors' checkers.  The sequential flow in spider/verification.cpp
-// ran one round per (neighbor, role) and verified every bit proof from
-// scratch; this engine restructures the same session as:
+// neighbors' checkers.  A round is one bundle per (neighbor, round) that
+// carries the proofs of both roles; a bgp::PrefixFilter says which
+// prefixes it covers, the generator proves under it, and check_round()
+// checks under it.  The socket nodes (tools/spider_node) run the same
+// round.  run_session schedules the rounds of one commitment as:
 //
-//   * rounds — each (neighbor, role) prefix set is split into chunks of
-//     `round_prefixes` (in sorted prefix order, so per-round detections
-//     concatenate to exactly the sequential first-detection);
+//   * chunks — each neighbor's sorted export and import keys are cut into
+//     runs of `round_prefixes`; a round covers the half-open key range
+//     from its chunk's first key to the next chunk's, so the rounds
+//     partition the prefix space and per-round detections concatenate to
+//     exactly the sequential first-detection;
 //   * a pipeline — proof generation and bundle signing run on a
 //     `jobs`-thread pool with at most `window * jobs` rounds in flight,
 //     while the main thread consumes finished rounds in order and runs
@@ -22,9 +26,9 @@
 //     the Montgomery context setup across a batch; results stay per
 //     bundle, so one bad signature taints exactly its own round.
 //
-// The sequential configuration (the default-constructed SessionConfig) is
-// the old flow: one round per role, no cache, scalar signature checks.
-// proto::run_verification is now a thin wrapper over it.
+// The sequential configuration (the default-constructed SessionConfig)
+// runs one round per neighbor, no cache, scalar signature checks;
+// proto::run_verification is a thin wrapper over it.
 #pragma once
 
 #include <cstddef>
@@ -43,9 +47,8 @@ struct SessionConfig {
   /// Bounded in-flight window: at most `window * jobs` rounds are being
   /// generated ahead of the checker; also the signature-batch flush size.
   unsigned window = 1;
-  /// Prefixes per challenge round.  0 = the whole (neighbor, role) set in
-  /// one round — the sequential wire layout, byte-identical to the old
-  /// flow's proof bundles.
+  /// Prefixes per challenge round.  0 = one round per neighbor covering
+  /// every prefix.
   std::size_t round_prefixes = 0;
   /// Memoize interior proof subpaths across rounds (ProofPathCache).
   bool use_cache = false;
@@ -90,6 +93,43 @@ struct SessionResult {
   proto::VerificationReport report;
   SessionStats stats;
 };
+
+/// What a neighbor's checker holds when the elector's proofs arrive.
+struct CheckerView {
+  proto::SpiderCommit commit;  // the elector's commitment it received
+  bgp::AsNumber elector = 0;
+  bgp::AsNumber self = 0;
+  /// Its exports to the elector, each with the values in force over the
+  /// loose-sync window (the mirror holds one per prefix).
+  std::map<bgp::Prefix, std::vector<bgp::Route>> window;
+  /// Its imports from the elector.
+  std::map<bgp::Prefix, bgp::Route> imports;
+  /// The elector's promise to it; null = no consumer check.
+  const core::Promise* promise = nullptr;
+  const core::Classifier* classifier = nullptr;
+};
+
+/// `checker`'s view of `elector`'s commitment at `commit_time`, restricted
+/// to the §7.3 subtree `within`; nullopt when no commitment for that time
+/// was received.  `checker` and `promise` must outlive the view.
+std::optional<CheckerView> checker_view(const proto::Recorder& checker, bgp::AsNumber elector,
+                                        proto::Time commit_time, const core::Promise* promise,
+                                        const std::optional<bgp::Prefix>& within = std::nullopt);
+
+/// One round's verdicts, per role.
+struct RoundDetections {
+  std::optional<core::Detection> producer;
+  std::optional<core::Detection> consumer;
+};
+
+/// Checks one challenge round: the elector's producer and consumer proofs
+/// for the prefixes `filter` accepts (empty = all), against `view`
+/// restricted to the same prefixes — so a prefix missing from its own
+/// round is flagged as withheld.
+RoundDetections check_round(const CheckerView& view, const proto::ProducerProofs& producer,
+                            const proto::ConsumerProofs& consumer,
+                            const bgp::PrefixFilter& filter = {},
+                            const proto::ProofVerifyFn& verify = core::Mtt::verify);
 
 /// Runs a verification session for `elector`'s commitment at
 /// `commit_time`.  Identical verdicts, evidence and detections to the

@@ -422,8 +422,13 @@ void register_node_wire_targets() {
   entries_segment.records = {entry.encode(), entry.encode()};
   sp::LogSegmentFrame empty_commitments;
   empty_commitments.kind = sp::LogSegmentFrame::kCommitments;
+  sp::LogSegmentFrame chain_base;
+  chain_base.kind = sp::LogSegmentFrame::kChainBase;
+  const su::Digest20 base = scr::digest20(su::str_bytes("chain base"));
+  chain_base.records = {su::Bytes(base.begin(), base.end())};
   registry().push_back(simple_target<sp::LogSegmentFrame>(
-      "log_segment_frame", {entries_segment.encode(), empty_commitments.encode()}));
+      "log_segment_frame",
+      {entries_segment.encode(), empty_commitments.encode(), chain_base.encode()}));
 
   sp::ProofRequestFrame proof_request;
   proof_request.elector = 5;

@@ -282,7 +282,8 @@ TEST(SubtreeVerification, ProofsRestrictedToCoveringPrefix) {
   const sb::Prefix subtree(imports.begin()->first.bits(), 8);
 
   auto full = generator.proofs_for_consumer(recon, 6);
-  auto restricted = generator.proofs_for_consumer(recon, 6, {.within = subtree});
+  auto in_subtree = [&](const sb::Prefix& prefix) { return subtree.contains(prefix); };
+  auto restricted = generator.proofs_for_consumer(recon, 6, {.filter = in_subtree});
   EXPECT_LT(restricted.items.size(), full.items.size());
   EXPECT_GT(restricted.items.size(), 0u);
   EXPECT_LT(restricted.total_bytes(), full.total_bytes());
@@ -317,7 +318,8 @@ TEST(SubtreeVerification, ProducerSideAlsoRestricts) {
   ASSERT_FALSE(exports.empty());
   const sb::Prefix subtree(exports.begin()->first.bits(), 8);
 
-  auto restricted = generator.proofs_for_producer(recon, 2, {.within = subtree});
+  auto in_subtree = [&](const sb::Prefix& prefix) { return subtree.contains(prefix); };
+  auto restricted = generator.proofs_for_producer(recon, 2, {.filter = in_subtree});
   for (const auto& item : restricted.items) EXPECT_TRUE(subtree.contains(item.prefix));
 
   std::map<sb::Prefix, std::vector<sb::Route>> window;

@@ -384,6 +384,45 @@ TEST(LogTransfer, TamperedEntryFailsChainVerification) {
   EXPECT_THROW((void)transfer.rebuild(), su::DecodeError);
 }
 
+TEST(LogTransfer, TamperedFirstRetainedEntryFailsChainVerification) {
+  // A pruned ten-entry log: entry 0 of what is left chains from the last
+  // pruned entry's authenticator, which travels as the chain base.
+  sp::MessageLog log;
+  for (int i = 1; i <= 10; ++i) {
+    log.append(i * 100, sp::LogDirection::kSent, 2, su::str_bytes("m" + std::to_string(i)), 2);
+  }
+  log.prune_before(600);
+  ASSERT_EQ(log.entries().size(), 5u);
+  ASSERT_TRUE(log.verify_chain());
+  EXPECT_NO_THROW((void)transfer_of(log).rebuild());
+
+  // Entry 0's message changes; its stored authenticator does not.
+  sp::LogTransfer transfer = transfer_of(log);
+  sp::LogEntry entry = sp::LogEntry::decode(transfer.entries[0]);
+  entry.message.back() ^= 1;
+  transfer.entries[0] = entry.encode();
+  EXPECT_THROW((void)transfer.rebuild(), su::DecodeError);
+
+  auto& entries = const_cast<std::vector<sp::LogEntry>&>(log.entries());
+  entries[0].message.back() ^= 1;
+  EXPECT_FALSE(log.verify_chain());
+}
+
+TEST(LogTransfer, ChainBaseSegmentIsOneDigest) {
+  const su::Bytes base(20, 7);
+  for (const auto& records : {std::vector<su::Bytes>{su::Bytes(19, 7)},
+                              std::vector<su::Bytes>{su::Bytes(21, 7)},
+                              std::vector<su::Bytes>{base, base}, std::vector<su::Bytes>{}}) {
+    const sp::LogSegmentFrame segment{sp::LogSegmentFrame::kChainBase, records};
+    EXPECT_THROW((void)sp::LogSegmentFrame::decode(segment.encode()), su::DecodeError);
+  }
+  const sp::LogSegmentFrame good{sp::LogSegmentFrame::kChainBase, {base}};
+  EXPECT_EQ(sp::LogSegmentFrame::decode(good.encode()).records.front(), base);
+  su::Bytes unknown_kind = good.encode();
+  unknown_kind[0] = sp::LogSegmentFrame::kChainBase + 1;
+  EXPECT_THROW((void)sp::LogSegmentFrame::decode(unknown_kind), su::DecodeError);
+}
+
 TEST(LogTransfer, TruncatedRecordsAreRejected) {
   for (auto member : {&sp::LogTransfer::entries, &sp::LogTransfer::checkpoints,
                       &sp::LogTransfer::commitments}) {

@@ -9,11 +9,16 @@
 
 #include <cstring>
 #include <functional>
+#include <map>
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/mtt.hpp"
 #include "crypto/random.hpp"
 #include "crypto/rsa.hpp"
+#include "spider/node_wire.hpp"
 #include "util/rng.hpp"
 #include "verify/proof_path_cache.hpp"
 #include "verify/session.hpp"
@@ -190,6 +195,150 @@ TEST(VerifyEngine, NoCacheConfigDisablesDedup) {
   EXPECT_EQ(result.stats.cache_hits, 0u);
   EXPECT_EQ(result.stats.bytes_deduped, 0u);
   EXPECT_EQ(result.report.proof_bytes_deduped, 0u);
+}
+
+// ------------------------------------------------------- round shapes
+
+namespace {
+
+/// The VerifyEngineDifferential worlds: clean seeds and each misbehavior.
+struct Scenario {
+  const char* name;
+  std::uint64_t seed;
+  std::function<void(sp::Fig5Deployment&)> before;
+};
+
+std::vector<Scenario> scenarios() {
+  return {
+      {"clean seed 5", 5, {}},
+      {"clean seed 11", 11, {}},
+      {"clean seed 23", 23, {}},
+      {"omitted input", 5,
+       [](sp::Fig5Deployment& deploy) {
+         deploy.speaker(5).inject_import_filter_fault(2);
+         deploy.recorder(5).faults().ignore_inputs = {2};
+       }},
+      {"equivocation", 5,
+       [](sp::Fig5Deployment& deploy) { deploy.recorder(5).faults().equivocate_to = {2}; }},
+      {"withheld commitment", 5,
+       [](sp::Fig5Deployment& deploy) {
+         deploy.recorder(5).faults().withhold_commit_from = {2};
+       }},
+      {"broken promise", 5,
+       [](sp::Fig5Deployment& deploy) {
+         sc::Promise never_long(10);
+         never_long.add_preference(0, 1);
+         for (sc::ClassId cls = 2; cls < 9; ++cls) never_long.add_preference(9, cls);
+         never_long.add_preference(1, 9);
+         deploy.recorder(5).set_promise(6, never_long);
+       }},
+  };
+}
+
+using FlaggedPairs = std::map<std::pair<sb::AsNumber, std::string>, sc::FaultKind>;
+
+/// The (neighbor, role) pairs a session report flags, outside extended
+/// verification.
+FlaggedPairs flagged_by(const sp::VerificationReport& report) {
+  FlaggedPairs flagged;
+  for (const auto& verdict : report.verdicts) {
+    if (verdict.as_producer) flagged[{verdict.neighbor, "producer"}] = verdict.as_producer->kind;
+    if (verdict.as_consumer) flagged[{verdict.neighbor, "consumer"}] = verdict.as_consumer->kind;
+  }
+  return flagged;
+}
+
+/// The socket plane's round shape: each neighbor proved in `rounds`
+/// proof_round_of rounds, each round shipped through a ProofBundleFrame
+/// encode and decode and checked with check_round under the frame's round
+/// filter.  First detection per (neighbor, role) wins, in round order.
+FlaggedPairs socket_shape_flags(EngineWorld& world, std::uint32_t rounds) {
+  const sp::Recorder& elector = world.deploy.recorder(5);
+  sp::ProofGenerator generator(elector);
+  const auto recon = generator.reconstruct(world.commit_time);
+  FlaggedPairs flagged;
+  for (sb::AsNumber neighbor : world.deploy.neighbors_of(5)) {
+    auto promise_it = elector.promises().find(neighbor);
+    const auto view = sv::checker_view(
+        world.deploy.recorder(neighbor), 5, world.commit_time,
+        promise_it != elector.promises().end() ? &promise_it->second : nullptr);
+    if (!view) {  // the session's verdict for a commitment never received
+      flagged[{neighbor, "consumer"}] = sc::FaultKind::kMissingMessage;
+      continue;
+    }
+    for (std::uint32_t round = 0; round < rounds; ++round) {
+      const sp::ProofOptions options{sp::proof_round_filter(round, rounds), nullptr};
+      sp::ProofBundleFrame frame;
+      frame.elector = 5;
+      frame.commit_time = world.commit_time;
+      frame.consumer = neighbor;
+      frame.round = round;
+      frame.round_count = rounds;
+      frame.root_matches = recon.root_matches ? 1 : 0;
+      frame.producer_proofs = generator.proofs_for_producer(recon, neighbor, options).encode();
+      frame.consumer_proofs = generator.proofs_for_consumer(recon, neighbor, options).encode();
+      const auto wire = sp::ProofBundleFrame::decode(frame.encode());
+      const auto found = sv::check_round(*view, sp::ProducerProofs::decode(wire.producer_proofs),
+                                         sp::ConsumerProofs::decode(wire.consumer_proofs),
+                                         sp::proof_round_filter(wire.round, wire.round_count));
+      if (found.producer) flagged.try_emplace({neighbor, "producer"}, found.producer->kind);
+      if (found.consumer) flagged.try_emplace({neighbor, "consumer"}, found.consumer->kind);
+    }
+  }
+  return flagged;
+}
+
+}  // namespace
+
+TEST(VerifyEngineRoundShape, MultiChunkRoundsMatchSequential) {
+  for (const Scenario& scenario : scenarios()) {
+    SCOPED_TRACE(scenario.name);
+    EngineWorld world(scenario.seed, false, scenario.before);
+    auto seq = sv::run_session(world.deploy, 5, world.commit_time, sv::SessionConfig{},
+                               /*extended=*/true);
+    auto config = sv::pipelined_config();
+    config.round_prefixes = 16;
+    auto chunked = sv::run_session(world.deploy, 5, world.commit_time, config,
+                                   /*extended=*/true);
+    expect_identical_reports(seq.report, chunked.report);
+    // Every neighbor holding a commitment has more than one chunk.
+    EXPECT_GT(chunked.stats.signatures_verified, 2 * seq.stats.signatures_verified);
+  }
+}
+
+TEST(VerifyEngineRoundShape, SocketRoundsFlagTheSamePairs) {
+  std::size_t faulty = 0;
+  for (const Scenario& scenario : scenarios()) {
+    SCOPED_TRACE(scenario.name);
+    EngineWorld world(scenario.seed, false, scenario.before);
+    auto seq = sv::run_session(world.deploy, 5, world.commit_time, sv::SessionConfig{},
+                               /*extended=*/false);
+    const FlaggedPairs expected = flagged_by(seq.report);
+    EXPECT_EQ(socket_shape_flags(world, 4), expected);
+    faulty += expected.empty() ? 0 : 1;
+  }
+  EXPECT_EQ(faulty, 4u);  // every misbehavior is flagged on some pair
+}
+
+// Runs the pool workers against the shared generator, proof memo and
+// signer; the tsan preset picks this suite up with `ctest -R Tsan`.
+TEST(VerifyEngineTsan, PipelinedMatchesSequential) {
+  EngineWorld rsa_world(5, /*rsa=*/true);
+  EngineWorld faulty_world(5, false, [](sp::Fig5Deployment& deploy) {
+    deploy.speaker(5).inject_import_filter_fault(2);
+    deploy.recorder(5).faults().ignore_inputs = {2};
+  });
+  for (EngineWorld* world : {&rsa_world, &faulty_world}) {
+    auto seq = sv::run_session(world->deploy, 5, world->commit_time, sv::SessionConfig{},
+                               /*extended=*/true);
+    auto chunked_config = sv::pipelined_config(4);
+    chunked_config.round_prefixes = 16;
+    for (const sv::SessionConfig& config : {sv::pipelined_config(4), chunked_config}) {
+      auto pip = sv::run_session(world->deploy, 5, world->commit_time, config,
+                                 /*extended=*/true);
+      expect_identical_reports(seq.report, pip.report);
+    }
+  }
 }
 
 // ----------------------------------------------------------- ProofPathCache

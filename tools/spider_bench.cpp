@@ -348,19 +348,13 @@ json::Object run_functionality(const benchutil::BenchScale& scale) {
                       core::fault_kind_name(detection->kind));
     };
     for (bgp::AsNumber neighbor : deploy.neighbors_of(5)) {
-      const auto& checker = deploy.recorder(neighbor);
-      auto commit = checker.received_commitments().at(5).at(record.timestamp);
-      std::map<bgp::Prefix, std::vector<bgp::Route>> window;
-      for (const auto& [p, r] : checker.my_exports_to(5)) window[p] = {r};
-      note(neighbor, "producer",
-           proto::Checker::check_producer_proofs(commit, 5, window,
-                                                 generator.proofs_for_producer(recon, neighbor),
-                                                 checker.classifier()));
-      note(neighbor, "consumer",
-           proto::Checker::check_consumer_proofs(
-               commit, 5, deploy.recorder(5).promises().at(neighbor),
-               checker.my_imports_from(5), generator.proofs_for_consumer(recon, neighbor),
-               neighbor, checker.classifier()));
+      const auto view = verify::checker_view(deploy.recorder(neighbor), 5, record.timestamp,
+                                             &deploy.recorder(5).promises().at(neighbor));
+      const auto round = verify::check_round(view.value(),
+                                             generator.proofs_for_producer(recon, neighbor),
+                                             generator.proofs_for_consumer(recon, neighbor));
+      note(neighbor, "producer", round.producer);
+      note(neighbor, "consumer", round.consumer);
     }
     const bool as_predicted = detector == 0 ? !any : by_detector;
     results.push_back(result_row(label, as_predicted ? 1 : 0, "bool", "1"));
@@ -1097,7 +1091,7 @@ json::Object run_verify(const benchutil::BenchScale& scale) {
   const auto& record = deploy.recorder(5).make_commitment();
   deploy.sim().run();
 
-  // Sequential baseline: one round per (neighbor, role), scalar signature
+  // Sequential baseline: one round per neighbor, scalar signature
   // checks, no proof-path cache, no generator memo.
   auto sequential =
       verify::run_session(deploy, 5, record.timestamp, verify::SessionConfig{}, /*extended=*/true);

@@ -26,6 +26,7 @@
 //
 //   spider_node --role recorder --as 5 --listen 47701 --neighbor 2
 //       --peer 2:127.0.0.1:47702 --trust 905 --commit-interval-ms 250
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -41,7 +42,6 @@
 
 #include "bgp/speaker.hpp"
 #include "node_common.hpp"
-#include "spider/checker.hpp"
 #include "spider/proof_generator.hpp"
 #include "util/serde.hpp"
 #include "verify/session.hpp"
@@ -224,6 +224,9 @@ int run_recorder(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opt
 
 int run_checker(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Options& opt) {
   HostedRecorder host(endpoint, opt);
+  // The promise the elector made to this checker's AS; the smoke
+  // deployment uses the paper's §7.2 configuration everywhere.
+  const core::Promise promise = core::Promise::total_order(opt.num_classes);
 
   // One memoizing verifier per commitment under check: bit proofs for the
   // rounds of one pipelined session share their interior fold chains, so
@@ -256,54 +259,34 @@ int run_checker(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opti
         proto::ProofBundleFrame bundle = proto::ProofBundleFrame::decode(frame.body);
         proto::CheckResultFrame result;
         result.root_matches = bundle.root_matches;
-        const auto& received = host.recorder->received_commitments();
-        auto elector_it = received.find(bundle.elector);
-        auto commit_it = elector_it != received.end()
-                             ? elector_it->second.find(bundle.commit_time)
-                             : std::map<proto::Time, proto::SpiderCommit>::const_iterator{};
-        if (elector_it == received.end() || commit_it == elector_it->second.end()) {
+        const auto view =
+            verify::checker_view(*host.recorder, bundle.elector, bundle.commit_time, &promise);
+        if (!view) {
           result.detail = "no commitment received for this round";
         } else {
-          const proto::SpiderCommit& commit = commit_it->second;
-          // A multi-round bundle covers only its chunk of the prefix
-          // space; restrict the expected windows with the same shared
-          // membership rule the proof generator applied, so a prefix
-          // missing from its own round is still flagged as withheld.
-          auto in_round = [&](const bgp::Prefix& prefix) {
-            return bundle.round_count <= 1 ||
-                   proto::proof_round_of(prefix, bundle.round_count) == bundle.round;
-          };
-          proto::ProofVerifyFn verify_fn = [&](const util::Digest20& root, std::uint32_t num_classes,
-                                               const core::MttPrefixProof& proof) {
-            return verifier_for(bundle.elector, bundle.commit_time)
-                .verify(root, num_classes, proof);
-          };
-          std::map<bgp::Prefix, std::vector<bgp::Route>> window;
-          for (const auto& [prefix, route] : host.recorder->my_exports_to(bundle.elector)) {
-            if (in_round(prefix)) window[prefix] = {route};
-          }
-          auto producer_verdict = proto::Checker::check_producer_proofs(
-              commit, bundle.elector, window,
-              proto::ProducerProofs::decode(bundle.producer_proofs), host.recorder->classifier(),
-              verify_fn);
-          std::map<bgp::Prefix, bgp::Route> imports;
-          for (const auto& [prefix, route] : host.recorder->my_imports_from(bundle.elector)) {
-            if (in_round(prefix)) imports.emplace(prefix, route);
-          }
-          // The promise the elector made to this checker's AS; the smoke
-          // deployment uses the paper's §7.2 configuration everywhere.
-          const core::Promise promise = core::Promise::total_order(opt.num_classes);
-          auto consumer_verdict = proto::Checker::check_consumer_proofs(
-              commit, bundle.elector, promise, imports,
-              proto::ConsumerProofs::decode(bundle.consumer_proofs), opt.id,
-              host.recorder->classifier(), verify_fn);
-          result.producer_ok = producer_verdict ? 0 : 1;
-          result.consumer_ok = consumer_verdict ? 0 : 1;
+          // A multi-round bundle covers only its share of the prefix space;
+          // the check applies the proof generator's round filter, so a
+          // prefix missing from its own round is still flagged as withheld.
+          const bgp::PrefixFilter in_round =
+              proto::proof_round_filter(bundle.round, bundle.round_count);
+          const auto found = verify::check_round(
+              *view, proto::ProducerProofs::decode(bundle.producer_proofs),
+              proto::ConsumerProofs::decode(bundle.consumer_proofs), in_round,
+              [&](const util::Digest20& root, std::uint32_t num_classes,
+                  const core::MttPrefixProof& proof) {
+                return verifier_for(bundle.elector, bundle.commit_time)
+                    .verify(root, num_classes, proof);
+              });
+          result.producer_ok = found.producer ? 0 : 1;
+          result.consumer_ok = found.consumer ? 0 : 1;
           result.ok = (result.producer_ok && result.consumer_ok && bundle.root_matches) ? 1 : 0;
-          if (producer_verdict) result.detail += "producer: " + producer_verdict->detail + "; ";
-          if (consumer_verdict) result.detail += "consumer: " + consumer_verdict->detail + "; ";
+          if (found.producer) result.detail += "producer: " + found.producer->detail + "; ";
+          if (found.consumer) result.detail += "consumer: " + found.consumer->detail + "; ";
           if (result.ok) {
-            result.detail = "clean: " + std::to_string(imports.size()) + " imports checked";
+            const auto checked = std::count_if(
+                view->imports.begin(), view->imports.end(),
+                [&](const auto& entry) { return !in_round || in_round(entry.first); });
+            result.detail = "clean: " + std::to_string(checked) + " imports checked";
           }
         }
         endpoint.send_control(from, proto::NodeFrameType::kCheckResult, result.encode());
@@ -383,19 +366,10 @@ int run_proofgen(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opt
     bundle.round_count = request.round_count;
     if (entry.recon) {
       bundle.root_matches = entry.recon->root_matches ? 1 : 0;
-      // Round restriction: both sides compute membership independently via
-      // proof_round_of, so only (round, round_count) crosses the wire.
-      const std::set<bgp::Prefix>* subset = nullptr;
-      std::set<bgp::Prefix> chunk;
-      if (request.round_count > 1) {
-        for (const bgp::Prefix& prefix : entry.recon->state.all_prefixes()) {
-          if (proto::proof_round_of(prefix, request.round_count) == request.round) {
-            chunk.insert(prefix);
-          }
-        }
-        subset = &chunk;
-      }
-      const proto::ProofOptions options{std::nullopt, subset, &entry.memo};
+      // Round restriction: both sides filter with proof_round_filter, so
+      // only (round, round_count) crosses the wire.
+      const proto::ProofOptions options{
+          proto::proof_round_filter(request.round, request.round_count), &entry.memo};
       bundle.producer_proofs =
           entry.generator.proofs_for_producer(*entry.recon, request.consumer, options).encode();
       bundle.consumer_proofs =
