@@ -6,8 +6,8 @@
 #include <stdexcept>
 
 #include "spider/evidence.hpp"
-#include "spider/verification.hpp"
 #include "trace/routeviews.hpp"
+#include "verify/session.hpp"
 
 namespace spider::chaos {
 
@@ -81,7 +81,7 @@ void stage_traffic_faults(const CatalogEntry& entry, proto::Fig5Deployment& depl
   }
 }
 
-/// True when the entry's detection runs through a full run_verification
+/// True when the entry's detection runs through a full verification
 /// session (the misbehavior is visible in the deployment itself).  The
 /// remaining entries forge material at verification time and call the
 /// relevant checker directly.
@@ -141,7 +141,7 @@ struct CellRunner {
   /// verification session, extended (§6.6) included.
   void run_session() {
     const Time t = commit_and_run();
-    collect(proto::run_verification(deploy, 5, t, /*extended=*/true));
+    collect(verify::run_session(deploy, 5, t, verify::SessionConfig{}, /*extended=*/true).report);
   }
 
   void run_forged(const CatalogEntry& entry) {

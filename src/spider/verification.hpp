@@ -15,16 +15,18 @@
 //      here);
 //   5. returns a verdict per neighbor plus any transferable evidence.
 //
-// This is the layer a deployment would expose as "spiderctl verify AS5".
+// This header holds the session's report types; verify::run_session
+// (src/verify/session.hpp) runs the session, and `spiderctl verify AS5`
+// exposes it.
 #pragma once
 
-#include <map>
+#include <cstddef>
 #include <optional>
+#include <string>
 #include <vector>
 
-#include "spider/checker.hpp"
-#include "spider/deployment.hpp"
-#include "spider/proof_generator.hpp"
+#include "core/vpref.hpp"
+#include "spider/messages.hpp"
 
 namespace spider::proto {
 
@@ -58,18 +60,5 @@ struct VerificationReport {
   /// Human-readable one-line summary per finding.
   std::vector<std::string> findings() const;
 };
-
-/// Runs a full verification session for `elector`'s commitment at
-/// `commit_time` over a deployment.  `extended` additionally runs the
-/// RE-ANNOUNCE protocol.  `within` restricts to a prefix subtree (§7.3).
-///
-/// Defined in src/verify/session.cpp (link spider_verify): this is the
-/// sequential configuration of the pipelined session engine, which
-/// produces the same verdicts, evidence and detections as the original
-/// in-place flow.  verify::run_session exposes the pipelined/cached
-/// configurations plus per-session statistics.
-VerificationReport run_verification(Fig5Deployment& deploy, bgp::AsNumber elector,
-                                    Time commit_time, bool extended = false,
-                                    std::optional<bgp::Prefix> within = std::nullopt);
 
 }  // namespace spider::proto

@@ -5,6 +5,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/commitment.hpp"
@@ -27,7 +28,6 @@ SessionConfig pipelined_config(unsigned jobs) {
   config.window = 4;
   config.round_prefixes = 256;
   config.use_cache = true;
-  config.batch_signatures = true;
   return config;
 }
 
@@ -99,6 +99,11 @@ bool CachedProofVerifier::verify(const Digest20& root, std::uint32_t num_classes
   return ok;
 }
 
+proto::ProofVerifyFn CachedProofVerifier::verify_fn() {
+  return [this](const Digest20& root, std::uint32_t num_classes,
+                const core::MttPrefixProof& proof) { return verify(root, num_classes, proof); };
+}
+
 void CachedProofVerifier::drain_into(SessionStats& stats) const {
   stats.digest_ops += digest_ops_;
   stats.digest_ops_saved += digest_ops_saved_;
@@ -147,6 +152,17 @@ const Map& restricted(const Map& map, const bgp::PrefixFilter& filter, Map& scra
   return scratch;
 }
 
+/// Decodes `encoded` into `out`; false when it does not decode.
+template <typename Proofs>
+bool decode_proofs(const Bytes& encoded, Proofs& out) {
+  try {
+    out = Proofs::decode(ByteSpan{encoded.data(), encoded.size()});
+    return true;
+  } catch (const util::DecodeError&) {
+    return false;
+  }
+}
+
 }  // namespace
 
 RoundDetections check_round(const CheckerView& view, const proto::ProducerProofs& producer,
@@ -164,6 +180,52 @@ RoundDetections check_round(const CheckerView& view, const proto::ProducerProofs
         consumer, view.self, *view.classifier, verify);
   }
   return found;
+}
+
+RoundDetections check_bundle(const CheckerView& view, const proto::ProofBundleFrame& frame,
+                             const proto::ProofVerifyFn& verify) {
+  proto::ProducerProofs producer;
+  proto::ConsumerProofs consumer;
+  const bool producer_decodes = decode_proofs(frame.producer_proofs, producer);
+  const bool consumer_decodes = decode_proofs(frame.consumer_proofs, consumer);
+  RoundDetections found = check_round(view, producer, consumer,
+                                      proto::proof_round_filter(frame.round, frame.round_count),
+                                      verify);
+  const core::Detection malformed{core::FaultKind::kMalformedMessage, view.elector,
+                                  "proof set does not decode"};
+  if (!producer_decodes) found.producer = malformed;
+  if (!consumer_decodes) found.consumer = malformed;
+  return found;
+}
+
+// ------------------------------------------------------------------ prover
+
+Prover::Prover(const proto::MessageLog& log, proto::ElectorParams params,
+               proto::Time commit_time, unsigned threads, bool memoize)
+    : elector_(params.config.asn),
+      generator_(log, std::move(params)),
+      recon_(generator_.reconstruct(commit_time, threads)),
+      memoize_(memoize) {}
+
+Prover::Round Prover::round(bgp::AsNumber neighbor, std::uint32_t round,
+                            std::uint32_t round_count, const bgp::PrefixFilter& filter) const {
+  const proto::ProofOptions options{filter, memoize_ ? &memo_ : nullptr};
+  Round proved{generator_.proofs_for_producer(recon_, neighbor, options),
+               generator_.proofs_for_consumer(recon_, neighbor, options), {}};
+  proved.frame = {elector_, recon_.commit_time, neighbor, round, round_count,
+                  recon_.root_matches, proved.producer.encode(), proved.consumer.encode()};
+  return proved;
+}
+
+proto::ProofBundleFrame prove_request(const Prover* prover,
+                                      const proto::ProofRequestFrame& request) {
+  const bgp::PrefixFilter in_round = proto::proof_round_filter(request.round, request.round_count);
+  if (prover != nullptr) {
+    return prover->round(request.consumer, request.round, request.round_count, in_round).frame;
+  }
+  return {request.elector, request.commit_time, request.consumer, request.round,
+          request.round_count, /*root_matches=*/0, proto::ProducerProofs{}.encode(),
+          proto::ConsumerProofs{}.encode()};
 }
 
 // --------------------------------------------------------------- sessions
@@ -266,10 +328,12 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
   report.equivocation = proto::Checker::cross_check_commits(elector, commits);
 
   // --- Phase 2: the elector reconstructs (checkpoint + replay + seed).
-  proto::ProofGenerator generator(deploy.recorder(elector));
-  auto recon = generator.reconstruct(commit_time, deploy.recorder(elector).config().commit_threads);
-  report.root_matches = recon.root_matches;
-  stats.reconstruct_seconds = recon.reconstruct_seconds;
+  // The sequential baseline proves memo-free.
+  const proto::Recorder& elector_recorder = deploy.recorder(elector);
+  const Prover prover(elector_recorder, commit_time, elector_recorder.config().commit_threads,
+                      config.use_cache);
+  report.root_matches = prover.root_matches();
+  stats.reconstruct_seconds = prover.reconstruct_seconds();
 
   // Extended verification inputs are gathered up front: the elector must
   // request RE-ANNOUNCE sets from every producer regardless of which
@@ -296,39 +360,27 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
   // --- Phase 3b: the pipeline.  Workers generate and sign round bundles;
   // the main thread consumes them in order, batch-checks signatures per
   // flush window, and runs the checkers through the memoizing verifier.
-  const crypto::Signer& signer = deploy.recorder(elector).signer();
-  // Generator-side twin of the proof-path cache: the session proves each
-  // prefix once per neighbor role, so memoizing the class-independent
-  // material (PRF randomness, bit labels, sibling path) across rounds
-  // collapses the repeat digest work.  The mutex inside makes sharing it
-  // across pool workers safe.  The sequential baseline stays memo-free.
-  core::MttProofMemo proof_memo;
-  core::MttProofMemo* memo = config.use_cache ? &proof_memo : nullptr;
+  const crypto::Signer& signer = elector_recorder.signer();
   auto run_round = [&](RoundTask& task) {
-    const proto::ProofOptions options{task.filter, memo};
-    task.producer = generator.proofs_for_producer(recon, task.plan->neighbor, options);
-    task.consumer = generator.proofs_for_consumer(recon, task.plan->neighbor, options);
-    // The signed bundle is the socket plane's frame for the same round.
-    const proto::ProofBundleFrame frame{elector, commit_time, task.plan->neighbor, task.round,
-                                        task.round_count, recon.root_matches,
-                                        task.producer.encode(), task.consumer.encode()};
-    task.payload_bytes = frame.producer_proofs.size() + frame.consumer_proofs.size();
-    task.bundle = frame.encode();
+    Prover::Round proved =
+        prover.round(task.plan->neighbor, task.round, task.round_count, task.filter);
+    task.producer = std::move(proved.producer);
+    task.consumer = std::move(proved.consumer);
+    // The signed bundle has the socket frame's layout, but its (round,
+    // round_count) number key-range chunks, not proof_round_of buckets:
+    // check_bundle would check it against the wrong prefixes.
+    task.payload_bytes = proved.frame.producer_proofs.size() + proved.frame.consumer_proofs.size();
+    task.bundle = proved.frame.encode();
     task.signature = signer.sign(ByteSpan{task.bundle.data(), task.bundle.size()});
   };
 
-  CachedProofVerifier verifier(config.use_cache, config.cache_capacity);
-  const proto::ProofVerifyFn verify_fn = [&verifier](const Digest20& root,
-                                                     std::uint32_t num_classes,
-                                                     const core::MttPrefixProof& proof) {
-    return verifier.verify(root, num_classes, proof);
-  };
+  CachedProofVerifier verifier(config.use_cache);
+  const proto::ProofVerifyFn verify_fn = verifier.verify_fn();
 
-  // Same-key RSA signature checks can batch; the keyed-hash test scheme
-  // verifies per bundle either way.
+  // A window of same-key RSA signature checks verifies as one batch; the
+  // keyed-hash test scheme verifies per bundle either way.
   std::optional<crypto::RsaPublicKey> batch_key;
-  if (config.batch_signatures &&
-      deploy.config().scheme == proto::DeploymentConfig::SignScheme::kRsa) {
+  if (config.window > 1 && deploy.config().scheme == proto::DeploymentConfig::SignScheme::kRsa) {
     const Bytes encoded = signer.public_key();
     batch_key = crypto::RsaPublicKey::decode(ByteSpan{encoded.data(), encoded.size()});
   }
@@ -374,69 +426,57 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
     pending.clear();
   };
 
+  // The sequential baseline is the same pipeline one round deep: one
+  // worker, and a flush after every round.
   const unsigned jobs = std::max(1u, config.jobs);
   const std::size_t flush_size = std::max<unsigned>(1, config.window);
-  const bool inline_rounds = config.jobs <= 1 && config.window <= 1;
+  const std::size_t inflight_cap = static_cast<std::size_t>(jobs) * flush_size;
   std::exception_ptr first_error;
-
-  if (inline_rounds) {
-    // The sequential baseline: generate, sign, verify, check — one round
-    // at a time on this thread.
-    for (RoundTask& task : tasks) {
-      run_round(task);
-      stats.bytes_shipped += task.payload_bytes;
-      ++stats.challenge_round_trips;
-      pending.push_back(&task);
-      flush_signatures();
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t inflight = 0;
+  std::size_t next_submit = 0;
+  util::ThreadPool pool(jobs);
+  auto submit_ready = [&]() {
+    std::unique_lock<std::mutex> lock(mu);
+    while (next_submit < tasks.size() && inflight < inflight_cap) {
+      RoundTask* task = &tasks[next_submit];
+      ++inflight;
+      ++next_submit;
+      lock.unlock();
+      pool.submit([&, task] {
+        try {
+          run_round(*task);
+        } catch (...) {
+          task->error = std::current_exception();
+        }
+        {
+          std::lock_guard<std::mutex> guard(mu);
+          task->done = true;
+          --inflight;
+        }
+        cv.notify_all();
+      });
+      lock.lock();
     }
-  } else {
-    const std::size_t inflight_cap = static_cast<std::size_t>(jobs) * flush_size;
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t inflight = 0;
-    std::size_t next_submit = 0;
-    util::ThreadPool pool(jobs);
-    auto submit_ready = [&]() {
+  };
+
+  for (RoundTask& task : tasks) {
+    submit_ready();
+    {
       std::unique_lock<std::mutex> lock(mu);
-      while (next_submit < tasks.size() && inflight < inflight_cap) {
-        RoundTask* task = &tasks[next_submit];
-        ++inflight;
-        ++next_submit;
-        lock.unlock();
-        pool.submit([&, task] {
-          try {
-            run_round(*task);
-          } catch (...) {
-            task->error = std::current_exception();
-          }
-          {
-            std::lock_guard<std::mutex> guard(mu);
-            task->done = true;
-            --inflight;
-          }
-          cv.notify_all();
-        });
-        lock.lock();
-      }
-    };
-
-    for (RoundTask& task : tasks) {
-      submit_ready();
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return task.done; });
-      }
-      submit_ready();  // the finished round freed a window slot
-      if (task.error != nullptr) {
-        if (first_error == nullptr) first_error = task.error;
-        continue;
-      }
-      if (first_error != nullptr) continue;  // drain without checking
-      stats.bytes_shipped += task.payload_bytes;
-      ++stats.challenge_round_trips;
-      pending.push_back(&task);
-      if (pending.size() >= flush_size) flush_signatures();
+      cv.wait(lock, [&] { return task.done; });
     }
+    submit_ready();  // the finished round freed a window slot
+    if (task.error != nullptr) {
+      if (first_error == nullptr) first_error = task.error;
+      continue;
+    }
+    if (first_error != nullptr) continue;  // drain without checking
+    stats.bytes_shipped += task.payload_bytes;
+    ++stats.challenge_round_trips;
+    pending.push_back(&task);
+    if (pending.size() >= flush_size) flush_signatures();
   }
   flush_signatures();
   if (first_error != nullptr) std::rethrow_exception(first_error);
@@ -456,7 +496,7 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
     verdict.as_producer = plan.producer_detection;
     verdict.as_consumer = plan.consumer_detection;
     if (extended) {
-      auto selected = generator.select_re_announcements(recon, plan.neighbor, re_sets);
+      auto selected = prover.select_re_announcements(plan.neighbor, re_sets);
       verdict.extended =
           proto::Checker::check_re_announcements(elector, plan.view->imports, selected);
     }
@@ -489,17 +529,3 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
 }
 
 }  // namespace spider::verify
-
-namespace spider::proto {
-
-// The sequential entry point: one round per neighbor, scalar signature
-// checks, no cache.
-VerificationReport run_verification(Fig5Deployment& deploy, bgp::AsNumber elector,
-                                    Time commit_time, bool extended,
-                                    std::optional<bgp::Prefix> within) {
-  return verify::run_session(deploy, elector, commit_time, verify::SessionConfig{}, extended,
-                             within)
-      .report;
-}
-
-}  // namespace spider::proto

@@ -4,9 +4,10 @@
 // challenge/response rounds between the elector's proof generator and its
 // neighbors' checkers.  A round is one bundle per (neighbor, round) that
 // carries the proofs of both roles; a bgp::PrefixFilter says which
-// prefixes it covers, the generator proves under it, and check_round()
-// checks under it.  The socket nodes (tools/spider_node) run the same
-// round.  run_session schedules the rounds of one commitment as:
+// prefixes it covers, Prover::round() proves under it, and check_round()
+// checks under it.  The socket nodes (tools/spider_node) run the same two
+// calls through prove_request() and check_bundle().  run_session
+// schedules the rounds of one commitment as:
 //
 //   * chunks — each neighbor's sorted export and import keys are cut into
 //     runs of `round_prefixes`; a round covers the half-open key range
@@ -21,21 +22,27 @@
 //     (root, position, label); repeat prefixes across neighbors and roles
 //     short-circuit at the first cached level (often the prefix node
 //     itself, skipping the entire fold);
-//   * batched signatures — under the RSA scheme, pending round bundles
-//     are signature-checked through crypto::rsa_verify_batch, amortizing
-//     the Montgomery context setup across a batch; results stay per
-//     bundle, so one bad signature taints exactly its own round.
+//   * batched signatures — under the RSA scheme with a window above 1,
+//     pending round bundles are signature-checked through
+//     crypto::rsa_verify_batch, amortizing the Montgomery context setup
+//     across a batch; results stay per bundle, so one bad signature
+//     taints exactly its own round.
 //
 // The sequential configuration (the default-constructed SessionConfig)
-// runs one round per neighbor, no cache, scalar signature checks;
-// proto::run_verification is a thin wrapper over it.
+// runs one round per neighbor on one worker, no cache, scalar signature
+// checks.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <vector>
 
+#include "spider/checker.hpp"
+#include "spider/deployment.hpp"
+#include "spider/node_wire.hpp"
+#include "spider/proof_generator.hpp"
 #include "spider/verification.hpp"
 #include "verify/proof_path_cache.hpp"
 
@@ -50,16 +57,13 @@ struct SessionConfig {
   /// Prefixes per challenge round.  0 = one round per neighbor covering
   /// every prefix.
   std::size_t round_prefixes = 0;
-  /// Memoize interior proof subpaths across rounds (ProofPathCache).
+  /// Memoize interior proof subpaths (ProofPathCache) and proof material
+  /// (MttProofMemo) across rounds.
   bool use_cache = false;
-  /// Batch same-key RSA signature checks per flush window.
-  bool batch_signatures = false;
-  /// Cached (position, label) pairs kept per distinct root.
-  std::size_t cache_capacity = 1 << 16;
 };
 
 /// The full-pipeline configuration: `jobs` worker threads (0 = hardware
-/// concurrency), a 4-round window, subpath cache and signature batching.
+/// concurrency), a 4-round window, 256-prefix rounds and the caches.
 SessionConfig pipelined_config(unsigned jobs = 0);
 
 struct SessionStats {
@@ -131,11 +135,71 @@ RoundDetections check_round(const CheckerView& view, const proto::ProducerProofs
                             const bgp::PrefixFilter& filter = {},
                             const proto::ProofVerifyFn& verify = core::Mtt::verify);
 
+/// The socket checker's round: decodes both proof sets of `frame` and
+/// checks them under proto::proof_round_filter.  A set that does not
+/// decode is its role's kMalformedMessage detection against the elector;
+/// the other role is still checked.
+RoundDetections check_bundle(const CheckerView& view, const proto::ProofBundleFrame& frame,
+                             const proto::ProofVerifyFn& verify = core::Mtt::verify);
+
+/// The elector's side of a round: reconstructs the commitment at
+/// `commit_time` from `log` alone (§6.5) once, then proves rounds against
+/// it, from several threads at once if need be.  `log` must outlive it;
+/// `memoize` caches proof material across rounds.  Throws
+/// std::invalid_argument when no commitment or checkpoint covers T.
+class Prover {
+ public:
+  Prover(const proto::MessageLog& log, proto::ElectorParams params, proto::Time commit_time,
+         unsigned threads = 1, bool memoize = false);
+  Prover(proto::MessageLog&&, proto::ElectorParams, proto::Time, unsigned = 1,
+         bool = false) = delete;  // would dangle
+  /// Proves from `elector`'s log under its current parameters.
+  explicit Prover(const proto::Recorder& elector, proto::Time commit_time, unsigned threads = 1,
+                  bool memoize = false)
+      : Prover(elector.log(),
+               {elector.config(), elector.promises(), elector.faults().ignore_inputs},
+               commit_time, threads, memoize) {}
+
+  bool root_matches() const { return recon_.root_matches; }
+  double reconstruct_seconds() const { return recon_.reconstruct_seconds; }
+
+  /// One round's two proof sets, and the frame that ships their encodings.
+  struct Round {
+    proto::ProducerProofs producer;
+    proto::ConsumerProofs consumer;
+    proto::ProofBundleFrame frame;
+  };
+
+  /// Proves both roles for `neighbor` over the prefixes `filter` accepts
+  /// (empty = all); `round` and `round_count` are copied into the frame.
+  Round round(bgp::AsNumber neighbor, std::uint32_t round, std::uint32_t round_count,
+              const bgp::PrefixFilter& filter) const;
+
+  /// See ProofGenerator::select_re_announcements.
+  std::vector<proto::SpiderAnnounce> select_re_announcements(
+      bgp::AsNumber consumer, const std::vector<proto::ReAnnounceSet>& sets) const {
+    return generator_.select_re_announcements(recon_, consumer, sets);
+  }
+
+ private:
+  bgp::AsNumber elector_;
+  proto::ProofGenerator generator_;
+  proto::ProofGenerator::Reconstruction recon_;
+  mutable core::MttProofMemo memo_;  // locks internally
+  bool memoize_;
+};
+
+/// The socket proof generator's round: `request`'s round under
+/// proto::proof_round_filter.  A null `prover` (the log failed to transfer,
+/// verify or cover T) answers root_matches = 0 with empty proof sets.
+proto::ProofBundleFrame prove_request(const Prover* prover,
+                                      const proto::ProofRequestFrame& request);
+
 /// Runs a verification session for `elector`'s commitment at
 /// `commit_time`.  Identical verdicts, evidence and detections to the
-/// sequential flow for every configuration; only cost and wire layout
-/// change.  `extended` runs the §6.6 RE-ANNOUNCE protocol; `within`
-/// restricts to a prefix subtree (§7.3).
+/// sequential flow (SessionConfig{}) for every configuration; only cost and
+/// wire layout change.  `extended` runs the §6.6 RE-ANNOUNCE protocol;
+/// `within` restricts to a prefix subtree (§7.3).
 SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
                           proto::Time commit_time, const SessionConfig& config,
                           bool extended = false,
@@ -144,10 +208,11 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
 /// The memoizing bit-proof verifier the engine plugs into Checker.
 /// Accept/reject agrees with core::Mtt::verify on every proof whose
 /// subpaths were honestly cached (the cache only ever holds pairs from
-/// fully verified proofs).  Exposed for the differential tests.
+/// fully verified proofs).  The socket checker keeps one per commitment.
 class CachedProofVerifier {
  public:
-  CachedProofVerifier(bool use_cache, std::size_t cache_capacity)
+  /// `cache_capacity`: cached (position, label) pairs kept per root.
+  explicit CachedProofVerifier(bool use_cache, std::size_t cache_capacity = 1 << 16)
       : use_cache_(use_cache), cache_capacity_(cache_capacity) {}
 
   /// Drop-in for core::Mtt::verify.  Always recomputes the revealed leaf
@@ -155,6 +220,9 @@ class CachedProofVerifier {
   /// the interior fold chain consults the cache.
   bool verify(const Digest20& root, std::uint32_t num_classes,
               const core::MttPrefixProof& proof);
+
+  /// verify() on this verifier, as check_round and check_bundle take it.
+  proto::ProofVerifyFn verify_fn();
 
   /// Folds per-root cache stats into `stats` and returns the counters
   /// accumulated by verify() calls.

@@ -11,9 +11,10 @@
 #include "spider/deployment.hpp"
 #include "spider/node_wire.hpp"
 #include "spider/proof_generator.hpp"
-#include "spider/verification.hpp"
+#include "verify/session.hpp"
 
 namespace sp = spider::proto;
+namespace sv = spider::verify;
 namespace sc = spider::core;
 namespace sb = spider::bgp;
 namespace st = spider::trace;
@@ -261,7 +262,7 @@ TEST(SpiderIntegration, UndecodablePartFromByzantineNeighborDoesNotBreakReplay) 
   sp::ProofGenerator generator(as5);
   auto recon = generator.reconstruct(record.timestamp);
   EXPECT_TRUE(recon.root_matches);
-  auto report = sp::run_verification(world.deploy, 5, record.timestamp);
+  auto report = sv::run_session(world.deploy, 5, record.timestamp, sv::SessionConfig{}).report;
   EXPECT_TRUE(report.clean());
   for (const auto& finding : report.findings()) ADD_FAILURE() << finding;
 }

@@ -248,39 +248,33 @@ FlaggedPairs flagged_by(const sp::VerificationReport& report) {
   return flagged;
 }
 
-/// The socket plane's round shape: each neighbor proved in `rounds`
-/// proof_round_of rounds, each round shipped through a ProofBundleFrame
-/// encode and decode and checked with check_round under the frame's round
-/// filter.  First detection per (neighbor, role) wins, in round order.
+/// What neighbor `neighbor`'s checker holds of AS 5's commitment, with
+/// AS 5's promise to it; nullopt when it never received the commitment.
+std::optional<sv::CheckerView> view_of(EngineWorld& world, sb::AsNumber neighbor) {
+  const auto& promises = world.deploy.recorder(5).promises();
+  auto promise_it = promises.find(neighbor);
+  return sv::checker_view(world.deploy.recorder(neighbor), 5, world.commit_time,
+                          promise_it != promises.end() ? &promise_it->second : nullptr);
+}
+
+/// The socket plane's round shape, through the nodes' own round calls:
+/// each neighbor asks for `rounds` proof_round_of rounds, each answered by
+/// prove_request, shipped through a ProofBundleFrame encode and decode, and
+/// checked by check_bundle.  First detection per (neighbor, role) wins, in
+/// round order.
 FlaggedPairs socket_shape_flags(EngineWorld& world, std::uint32_t rounds) {
-  const sp::Recorder& elector = world.deploy.recorder(5);
-  sp::ProofGenerator generator(elector);
-  const auto recon = generator.reconstruct(world.commit_time);
+  const sv::Prover prover(world.deploy.recorder(5), world.commit_time);
   FlaggedPairs flagged;
   for (sb::AsNumber neighbor : world.deploy.neighbors_of(5)) {
-    auto promise_it = elector.promises().find(neighbor);
-    const auto view = sv::checker_view(
-        world.deploy.recorder(neighbor), 5, world.commit_time,
-        promise_it != elector.promises().end() ? &promise_it->second : nullptr);
+    const auto view = view_of(world, neighbor);
     if (!view) {  // the session's verdict for a commitment never received
       flagged[{neighbor, "consumer"}] = sc::FaultKind::kMissingMessage;
       continue;
     }
     for (std::uint32_t round = 0; round < rounds; ++round) {
-      const sp::ProofOptions options{sp::proof_round_filter(round, rounds), nullptr};
-      sp::ProofBundleFrame frame;
-      frame.elector = 5;
-      frame.commit_time = world.commit_time;
-      frame.consumer = neighbor;
-      frame.round = round;
-      frame.round_count = rounds;
-      frame.root_matches = recon.root_matches ? 1 : 0;
-      frame.producer_proofs = generator.proofs_for_producer(recon, neighbor, options).encode();
-      frame.consumer_proofs = generator.proofs_for_consumer(recon, neighbor, options).encode();
-      const auto wire = sp::ProofBundleFrame::decode(frame.encode());
-      const auto found = sv::check_round(*view, sp::ProducerProofs::decode(wire.producer_proofs),
-                                         sp::ConsumerProofs::decode(wire.consumer_proofs),
-                                         sp::proof_round_filter(wire.round, wire.round_count));
+      const sp::ProofRequestFrame request{5, world.commit_time, neighbor, round, rounds};
+      const auto wire = sp::ProofBundleFrame::decode(sv::prove_request(&prover, request).encode());
+      const auto found = sv::check_bundle(*view, wire);
       if (found.producer) flagged.try_emplace({neighbor, "producer"}, found.producer->kind);
       if (found.consumer) flagged.try_emplace({neighbor, "consumer"}, found.consumer->kind);
     }
@@ -318,6 +312,49 @@ TEST(VerifyEngineRoundShape, SocketRoundsFlagTheSamePairs) {
     faulty += expected.empty() ? 0 : 1;
   }
   EXPECT_EQ(faulty, 4u);  // every misbehavior is flagged on some pair
+}
+
+// A well-formed bundle whose proof set does not decode is that role's
+// malformed-message detection against the elector, and the other role is
+// still checked.
+TEST(VerifyEngineRoundShape, UndecodableProofSetIsMalformed) {
+  EngineWorld world;
+  const sv::Prover prover(world.deploy.recorder(5), world.commit_time);
+  const auto view = view_of(world, 6);
+  ASSERT_TRUE(view.has_value());
+  ASSERT_NE(view->promise, nullptr);
+  std::size_t verified = 0;
+  const sp::ProofVerifyFn counting_verify = [&verified](const spider::util::Digest20& root,
+                                                        std::uint32_t num_classes,
+                                                        const sc::MttPrefixProof& proof) {
+    ++verified;
+    return sc::Mtt::verify(root, num_classes, proof);
+  };
+
+  sv::Prover::Round round = prover.round(6, 0, 1, {});
+  ASSERT_FALSE(round.producer.items.empty());
+  ASSERT_FALSE(round.consumer.items.empty());
+  const sv::RoundDetections intact = sv::check_bundle(*view, round.frame);
+  EXPECT_FALSE(intact.producer.has_value());
+  EXPECT_FALSE(intact.consumer.has_value());
+
+  sp::ProofBundleFrame truncated = round.frame;
+  truncated.producer_proofs.resize(truncated.producer_proofs.size() / 2);
+  auto found = sv::check_bundle(*view, sp::ProofBundleFrame::decode(truncated.encode()),
+                                counting_verify);
+  ASSERT_TRUE(found.producer.has_value());
+  EXPECT_EQ(found.producer->kind, sc::FaultKind::kMalformedMessage);
+  EXPECT_EQ(found.producer->accused, 5u);
+  EXPECT_FALSE(found.consumer.has_value());
+  EXPECT_EQ(verified, round.consumer.items.size());  // the consumer proofs were checked
+
+  truncated = round.frame;
+  truncated.consumer_proofs.resize(truncated.consumer_proofs.size() / 2);
+  found = sv::check_bundle(*view, sp::ProofBundleFrame::decode(truncated.encode()));
+  EXPECT_FALSE(found.producer.has_value());
+  ASSERT_TRUE(found.consumer.has_value());
+  EXPECT_EQ(found.consumer->kind, sc::FaultKind::kMalformedMessage);
+  EXPECT_EQ(found.consumer->accused, 5u);
 }
 
 // Runs the pool workers against the shared generator, proof memo and
@@ -403,17 +440,27 @@ TEST(ProofPathCache, DuplicateInsertIsIdempotent) {
 }
 
 TEST(CachedProofVerifier, TinyCacheStillVerifiesCorrectly) {
-  // A verifier whose cache thrashes (capacity 2) must accept exactly the
-  // same proofs as an uncached one — eviction can cost hits, never
+  // A verifier whose cache thrashes (capacity 2) must reach exactly the
+  // verdicts of the uncached one — eviction can cost hits, never
   // correctness.
   EngineWorld world;
-  auto config = sv::pipelined_config();
-  config.cache_capacity = 2;
-  auto thrashed = sv::run_session(world.deploy, 5, world.commit_time, config, /*extended=*/true);
-  auto seq = sv::run_session(world.deploy, 5, world.commit_time, sv::SessionConfig{},
-                             /*extended=*/true);
-  expect_identical_reports(seq.report, thrashed.report);
-  EXPECT_GT(thrashed.stats.cache_evictions, 0u);
+  const sv::Prover prover(world.deploy.recorder(5), world.commit_time);
+  sv::CachedProofVerifier tiny(/*use_cache=*/true, /*cache_capacity=*/2);
+  for (sb::AsNumber neighbor : world.deploy.neighbors_of(5)) {
+    const auto view = view_of(world, neighbor);
+    ASSERT_TRUE(view.has_value());
+    const sv::Prover::Round round = prover.round(neighbor, 0, 1, {});
+    const auto plain = sv::check_round(*view, round.producer, round.consumer);
+    const auto thrashed =
+        sv::check_round(*view, round.producer, round.consumer, {}, tiny.verify_fn());
+    expect_same_detection(plain.producer, thrashed.producer, "producer");
+    expect_same_detection(plain.consumer, thrashed.consumer, "consumer");
+  }
+  sv::SessionStats stats;
+  tiny.drain_into(stats);
+  EXPECT_GT(stats.proofs_checked, 0u);
+  EXPECT_EQ(stats.proofs_accepted, stats.proofs_checked);
+  EXPECT_GT(stats.cache_evictions, 0u);
 }
 
 // --------------------------------------------------- rsa_verify_batch

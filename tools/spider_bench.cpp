@@ -238,7 +238,7 @@ json::Object run_labeling(const benchutil::BenchScale& scale) {
 
 json::Object run_proof(const benchutil::BenchScale& scale) {
   // E4/E5 (§7.3): reconstruction, proof generation/size, proof checking,
-  // plus one extended run_verification pass (challenge round-trips).
+  // plus one extended sequential session (challenge round-trips).
   auto tr = benchutil::bench_trace(scale, 60 * netsim::kMicrosPerSecond);
   proto::Fig5Deployment deploy(deployment_config(false, false));
   netsim::Time start = deploy.run_setup(tr, 120 * netsim::kMicrosPerSecond);
@@ -281,7 +281,9 @@ json::Object run_proof(const benchutil::BenchScale& scale) {
   const double single_check_seconds = single_check_timer.seconds();
 
   // The full verification pipeline (extended => RE-ANNOUNCE round-trips).
-  auto report = proto::run_verification(deploy, 5, record.timestamp, /*extended=*/true);
+  auto report = verify::run_session(deploy, 5, record.timestamp, verify::SessionConfig{},
+                                    /*extended=*/true)
+                    .report;
 
   json::Object out;
   out["config"] = scale_config(scale);

@@ -44,6 +44,10 @@ using transport::PeerId;
 namespace {
 
 constexpr PeerId kLoadgenId = 1000;  // doubles as the trace-peer AS number
+/// The verification session: kVerifyRounds proof_round_of buckets, with
+/// up to kVerifyWindow rounds in flight.
+constexpr std::uint32_t kVerifyRounds = 4;
+constexpr std::uint32_t kVerifyWindow = 2;
 
 struct Options {
   std::optional<PeerSpec> recorder, checker, proofgen;
@@ -55,11 +59,6 @@ struct Options {
   std::uint64_t routes_per_update = 4;
   std::uint64_t ingest_repeats = 3;
   std::uint32_t num_classes = 50;
-  /// Pipelined verification: the prefix space splits into `verify_rounds`
-  /// chunks (proof_round_of) requested with up to `verify_window` rounds
-  /// in flight.  1 round = the legacy single full-set round trip.
-  std::uint32_t verify_rounds = 4;
-  std::uint32_t verify_window = 2;
   std::string out = "BENCH_transport.json";
   bool shutdown_nodes = true;
 };
@@ -70,7 +69,6 @@ int usage(const char* argv0) {
                "          [--proofgen ID:HOST:PORT] [--updates N] [--warmup N]\n"
                "          [--latency-rounds N] [--latency-burst N] [--prefixes N]\n"
                "          [--routes-per-update N] [--ingest-repeats N] [--num-classes N]\n"
-               "          [--verify-rounds N] [--verify-window N]\n"
                "          [--out FILE] [--no-shutdown]\n",
                argv0);
   return 2;
@@ -206,12 +204,6 @@ int main(int argc, char** argv) {
       opt.ingest_repeats = std::max<std::uint64_t>(1, std::strtoull(next(), nullptr, 10));
     } else if (arg == "--num-classes") {
       opt.num_classes = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--verify-rounds") {
-      opt.verify_rounds =
-          std::max<std::uint32_t>(1, static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10)));
-    } else if (arg == "--verify-window") {
-      opt.verify_window =
-          std::max<std::uint32_t>(1, static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10)));
     } else if (arg == "--out") {
       opt.out = next();
     } else if (arg == "--no-shutdown") {
@@ -324,9 +316,9 @@ int main(int argc, char** argv) {
               p99_ms, commit_latencies.size());
 
   // ---- Phase 4: a full verification session through proofgen + checker,
-  // pipelined: the prefix space splits into `verify_rounds` chunks (both
+  // pipelined: the prefix space splits into kVerifyRounds chunks (both
   // nodes recompute membership via proof_round_of) and up to
-  // `verify_window` rounds stay outstanding — round k+1's proofs generate
+  // kVerifyWindow rounds stay outstanding — round k+1's proofs generate
   // while round k's bundle is being checked.  The proofgen reconstructs
   // once and serves every round from its cache; the checker's proof-path
   // cache dedupes interior folds across rounds.
@@ -334,7 +326,6 @@ int main(int argc, char** argv) {
   bool root_matches = false;
   double verify_seconds = 0;
   if (opt.proofgen && opt.checker && !client.commits.empty()) {
-    const std::uint32_t rounds = opt.verify_rounds;
     const double verify_start = wall_now();
     std::uint32_t next_request = 0;
     std::size_t bundles_relayed = 0;
@@ -344,21 +335,21 @@ int main(int argc, char** argv) {
       request.commit_time = client.commits.back().timestamp;
       request.consumer = opt.checker->id;
       request.round = round;
-      request.round_count = rounds > 1 ? rounds : 0;
+      request.round_count = kVerifyRounds;
       return client.send_control(opt.proofgen->id, proto::NodeFrameType::kProofRequest,
                                  request.encode());
     };
-    while (next_request < std::min(rounds, opt.verify_window)) {
+    while (next_request < kVerifyWindow) {
       if (!send_request(next_request++)) return fail("proof request");
     }
-    while (client.check_results.size() < rounds) {
+    while (client.check_results.size() < kVerifyRounds) {
       while (bundles_relayed < client.bundles.size()) {
         if (!client.send_control(opt.checker->id, proto::NodeFrameType::kCheckRequest,
                                  client.bundle_bodies[bundles_relayed])) {
           return fail("check request");
         }
         ++bundles_relayed;
-        if (next_request < rounds && !send_request(next_request++)) {
+        if (next_request < kVerifyRounds && !send_request(next_request++)) {
           return fail("proof request");
         }
       }
@@ -370,23 +361,23 @@ int main(int argc, char** argv) {
                 return client.bundles.size() > relayed || client.check_results.size() > results;
               },
               120'000'000)) {
-        return fail(relayed < rounds ? "no proof bundle" : "no check result");
+        return fail(relayed < kVerifyRounds ? "no proof bundle" : "no check result");
       }
     }
     verify_seconds = wall_now() - verify_start;
     verification_clean = true;
     root_matches = true;
-    for (std::uint32_t round = 0; round < rounds; ++round) {
+    for (std::uint32_t round = 0; round < kVerifyRounds; ++round) {
       const proto::CheckResultFrame& result = client.check_results[round];
       if (result.ok == 0) verification_clean = false;
       if (client.bundles[round].root_matches == 0) root_matches = false;
       std::printf(
           "loadgen: verify round %u/%u %s (root_matches=%d producer_ok=%d consumer_ok=%d): %s\n",
-          round + 1, rounds, result.ok ? "CLEAN" : "DIRTY", result.root_matches,
+          round + 1, kVerifyRounds, result.ok ? "CLEAN" : "DIRTY", result.root_matches,
           result.producer_ok, result.consumer_ok, result.detail.c_str());
     }
     std::printf("loadgen: verification %s: %u rounds (window %u) in %.3fs\n",
-                verification_clean ? "CLEAN" : "DIRTY", rounds, opt.verify_window,
+                verification_clean ? "CLEAN" : "DIRTY", kVerifyRounds, kVerifyWindow,
                 verify_seconds);
   }
 
@@ -418,8 +409,8 @@ int main(int argc, char** argv) {
     config["ingest_rates"] = std::move(runs);
   }
   config["num_classes"] = static_cast<double>(opt.num_classes);
-  config["verify_rounds"] = static_cast<double>(opt.verify_rounds);
-  config["verify_window"] = static_cast<double>(opt.verify_window);
+  config["verify_rounds"] = static_cast<double>(kVerifyRounds);
+  config["verify_window"] = static_cast<double>(kVerifyWindow);
   config["processes"] = static_cast<double>(1 + (opt.checker ? 1 : 0) + (opt.proofgen ? 1 : 0));
   doc["config"] = std::move(config);
   json::Array results;

@@ -26,7 +26,6 @@
 //
 //   spider_node --role recorder --as 5 --listen 47701 --neighbor 2
 //       --peer 2:127.0.0.1:47702 --trust 905 --commit-interval-ms 250
-#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -228,66 +227,52 @@ int run_checker(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opti
   // deployment uses the paper's §7.2 configuration everywhere.
   const core::Promise promise = core::Promise::total_order(opt.num_classes);
 
-  // One memoizing verifier per commitment under check: bit proofs for the
-  // rounds of one pipelined session share their interior fold chains, so
-  // the session's later rounds skip most digest work (src/verify).  The
-  // verifier keys its caches by root internally, which keeps equivocating
-  // electors separated.  Bounded FIFO, same depth as log retention.
-  using VerifierKey = std::pair<std::uint32_t, proto::Time>;
-  std::map<VerifierKey, verify::CachedProofVerifier> verifiers;
-  std::deque<VerifierKey> verifier_fifo;
-  constexpr std::size_t kVerifierCapacity = 4;
-  auto verifier_for = [&](std::uint32_t elector, proto::Time commit_time)
-      -> verify::CachedProofVerifier& {
-    const VerifierKey key{elector, commit_time};
-    auto it = verifiers.find(key);
-    if (it != verifiers.end()) return it->second;
-    while (verifiers.size() >= kVerifierCapacity) {
-      verifiers.erase(verifier_fifo.front());
-      verifier_fifo.pop_front();
+  // What the rounds of one commitment share: the checker's view (built
+  // once, not once per round) and a memoizing verifier (the rounds' bit
+  // proofs share interior fold chains).  The verifier keys its caches by
+  // root, which keeps equivocating electors apart.  Bounded FIFO, same
+  // depth as log retention.
+  struct CheckedCommitment {
+    verify::CheckerView view;
+    verify::CachedProofVerifier verifier{/*use_cache=*/true};
+  };
+  using CheckedKey = std::pair<std::uint32_t, proto::Time>;
+  std::map<CheckedKey, CheckedCommitment> checked;
+  std::deque<CheckedKey> checked_fifo;
+  constexpr std::size_t kCheckedCapacity = 4;
+  // Null when no commitment for that time was received; that is not
+  // remembered, since the commitment may still arrive.
+  auto checked_for = [&](std::uint32_t elector, proto::Time commit_time) -> CheckedCommitment* {
+    const CheckedKey key{elector, commit_time};
+    auto it = checked.find(key);
+    if (it != checked.end()) return &it->second;
+    auto view = verify::checker_view(*host.recorder, elector, commit_time, &promise);
+    if (!view) return nullptr;
+    while (checked.size() >= kCheckedCapacity) {
+      checked.erase(checked_fifo.front());
+      checked_fifo.pop_front();
     }
-    verifier_fifo.push_back(key);
-    return verifiers
-        .emplace(std::piecewise_construct, std::forward_as_tuple(key),
-                 std::forward_as_tuple(/*use_cache=*/true, /*cache_capacity=*/1 << 16))
-        .first->second;
+    checked_fifo.push_back(key);
+    return &checked.emplace(key, CheckedCommitment{std::move(*view)}).first->second;
   };
 
   endpoint.set_control_handler([&](PeerId from, const proto::NodeFrame& frame) {
     switch (frame.type) {
       case proto::NodeFrameType::kCheckRequest: {
-        proto::ProofBundleFrame bundle = proto::ProofBundleFrame::decode(frame.body);
+        const proto::ProofBundleFrame bundle = proto::ProofBundleFrame::decode(frame.body);
         proto::CheckResultFrame result;
         result.root_matches = bundle.root_matches;
-        const auto view =
-            verify::checker_view(*host.recorder, bundle.elector, bundle.commit_time, &promise);
-        if (!view) {
-          result.detail = "no commitment received for this round";
-        } else {
-          // A multi-round bundle covers only its share of the prefix space;
-          // the check applies the proof generator's round filter, so a
-          // prefix missing from its own round is still flagged as withheld.
-          const bgp::PrefixFilter in_round =
-              proto::proof_round_filter(bundle.round, bundle.round_count);
-          const auto found = verify::check_round(
-              *view, proto::ProducerProofs::decode(bundle.producer_proofs),
-              proto::ConsumerProofs::decode(bundle.consumer_proofs), in_round,
-              [&](const util::Digest20& root, std::uint32_t num_classes,
-                  const core::MttPrefixProof& proof) {
-                return verifier_for(bundle.elector, bundle.commit_time)
-                    .verify(root, num_classes, proof);
-              });
+        if (CheckedCommitment* commitment = checked_for(bundle.elector, bundle.commit_time)) {
+          const auto found =
+              verify::check_bundle(commitment->view, bundle, commitment->verifier.verify_fn());
           result.producer_ok = found.producer ? 0 : 1;
           result.consumer_ok = found.consumer ? 0 : 1;
           result.ok = (result.producer_ok && result.consumer_ok && bundle.root_matches) ? 1 : 0;
           if (found.producer) result.detail += "producer: " + found.producer->detail + "; ";
           if (found.consumer) result.detail += "consumer: " + found.consumer->detail + "; ";
-          if (result.ok) {
-            const auto checked = std::count_if(
-                view->imports.begin(), view->imports.end(),
-                [&](const auto& entry) { return !in_round || in_round(entry.first); });
-            result.detail = "clean: " + std::to_string(checked) + " imports checked";
-          }
+          if (result.ok) result.detail = "clean";
+        } else {
+          result.detail = "no commitment received for this round";
         }
         endpoint.send_control(from, proto::NodeFrameType::kCheckResult, result.encode());
         break;
@@ -310,7 +295,7 @@ int run_checker(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opti
   host.recorder->start(/*schedule_commitments=*/false);
   tcp.run();
   verify::SessionStats cache_stats;
-  for (const auto& [key, verifier] : verifiers) verifier.drain_into(cache_stats);
+  for (const auto& [key, commitment] : checked) commitment.verifier.drain_into(cache_stats);
   std::printf("spider_node checker as=%u: %llu updates mirrored, %zu alarms, "
               "%llu proof-path cache hits / %llu misses (%llu bytes deduped)\n",
               opt.id, static_cast<unsigned long long>(host.recorder->updates_mirrored()),
@@ -324,22 +309,14 @@ int run_checker(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opti
 // --------------------------------------------------------------- proofgen
 
 int run_proofgen(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Options& opt) {
-  // One reconstructed commitment kept live for reuse.  A pipelined session
-  // (loadgen --verify-rounds > 1) sends many per-round requests for the
-  // same (elector, commit_time); only the first pays the log transfer and
-  // checkpoint+replay — the rest slice proofs out of the cached MTT.
+  // One reconstructed commitment kept live for reuse: a session's rounds
+  // all ask for the same (elector, commit_time), and only the first pays
+  // the log transfer and checkpoint+replay.
   struct ReconEntry {
     proto::MessageLog log;
-    proto::ProofGenerator generator;  // references `log`
-    /// nullopt when the transfer or the reconstruction failed: such
-    /// requests answer with empty proof sets (and root_matches = 0).
-    std::optional<proto::ProofGenerator::Reconstruction> recon;
-    /// Memoizes per-prefix proof material across the session's rounds
-    /// (valid for exactly this reconstruction's tree + seed).
-    core::MttProofMemo memo;
-
-    explicit ReconEntry(proto::ElectorParams params) : generator(log, std::move(params)) {}
-    ReconEntry(const ReconEntry&) = delete;  // a copy's generator would read this log
+    /// Proves from `log`; nullopt when the transfer or the reconstruction
+    /// failed, and such requests get root_matches = 0 and no proofs.
+    std::optional<verify::Prover> prover;
   };
   using ReconKey = std::pair<std::uint32_t, proto::Time>;
   std::map<ReconKey, ReconEntry> recon_cache;
@@ -356,41 +333,17 @@ int run_proofgen(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opt
   std::deque<QueuedRequest> waiting;
   std::optional<proto::LogTransfer> transfer;
 
-  auto answer_from_cache = [&](const QueuedRequest& queued, ReconEntry& entry) {
-    const proto::ProofRequestFrame& request = queued.request;
-    proto::ProofBundleFrame bundle;
-    bundle.elector = request.elector;
-    bundle.commit_time = request.commit_time;
-    bundle.consumer = request.consumer;
-    bundle.round = request.round;
-    bundle.round_count = request.round_count;
-    if (entry.recon) {
-      bundle.root_matches = entry.recon->root_matches ? 1 : 0;
-      // Round restriction: both sides filter with proof_round_filter, so
-      // only (round, round_count) crosses the wire.
-      const proto::ProofOptions options{
-          proto::proof_round_filter(request.round, request.round_count), &entry.memo};
-      bundle.producer_proofs =
-          entry.generator.proofs_for_producer(*entry.recon, request.consumer, options).encode();
-      bundle.consumer_proofs =
-          entry.generator.proofs_for_consumer(*entry.recon, request.consumer, options).encode();
-    } else {
-      bundle.producer_proofs = proto::ProducerProofs{}.encode();
-      bundle.consumer_proofs = proto::ConsumerProofs{}.encode();
-    }
-    endpoint.send_control(queued.requester, proto::NodeFrameType::kProofBundle,
-                          bundle.encode());
-    ++requests_answered;
-  };
-
   // Answers every queued request the cache can serve, then kicks off one
   // log transfer for the first one it cannot.
   std::function<void()> service = [&] {
     while (!waiting.empty()) {
-      const ReconKey key{waiting.front().request.elector, waiting.front().request.commit_time};
-      auto it = recon_cache.find(key);
+      const QueuedRequest& queued = waiting.front();
+      auto it = recon_cache.find({queued.request.elector, queued.request.commit_time});
       if (it == recon_cache.end()) break;
-      answer_from_cache(waiting.front(), it->second);
+      const verify::Prover* prover = it->second.prover ? &*it->second.prover : nullptr;
+      endpoint.send_control(queued.requester, proto::NodeFrameType::kProofBundle,
+                            verify::prove_request(prover, queued.request).encode());
+      ++requests_answered;
       waiting.pop_front();
     }
     if (!waiting.empty() && !transfer) {
@@ -411,14 +364,14 @@ int run_proofgen(transport::TcpTransport& tcp, NodeEndpoint& endpoint, const Opt
       recon_cache.erase(recon_fifo.front());
       recon_fifo.pop_front();
     }
-    ReconEntry& entry =
-        recon_cache.try_emplace(key, elector_params(opt, request.elector)).first->second;
+    ReconEntry& entry = recon_cache.try_emplace(key).first->second;
     recon_fifo.push_back(key);
     // Never prove from a log that fails to decode or to verify (§6.5): the
-    // entry keeps no reconstruction, so requests get root_matches = 0.
+    // entry keeps no prover, so requests get root_matches = 0.
     try {
       entry.log = done.rebuild();
-      entry.recon = entry.generator.reconstruct(request.commit_time, 1);
+      entry.prover.emplace(entry.log, elector_params(opt, request.elector), request.commit_time,
+                           /*threads=*/1, /*memoize=*/true);
     } catch (const util::DecodeError& e) {
       std::fprintf(stderr, "proofgen: rejecting transferred log: %s\n", e.what());
     } catch (const std::invalid_argument& e) {

@@ -4,7 +4,7 @@
 //                                            verify AS 5's latest commitment
 //   spiderctl verify <as> [prefixes]         commit + verify any AS through
 //             [--jobs N] [--window N]        the pipelined session engine
-//             [--no-cache] [--sequential]    (src/verify)
+//             [--no-cache]                   (src/verify)
 //   spiderctl faults [prefixes]              run the §7.4 fault matrix
 //   spiderctl trace [prefixes] [updates]     print synthetic-trace statistics
 //   spiderctl mtt <prefixes> [classes]       build + label an MTT, print stats
@@ -66,18 +66,16 @@ void print_session_stats(const verify::SessionStats& stats) {
 }
 
 /// Session shape for `spiderctl verify`: defaults to the full pipeline;
-/// --jobs 1 --window 1 (or --sequential) is the pre-engine sequential
-/// flow, byte-identical to the original run_verification.
+/// --jobs 1 --window 1 is the sequential session (SessionConfig{}).
 struct VerifyOptions {
   unsigned jobs = 0;  // 0 = hardware concurrency
   unsigned window = 4;
   bool no_cache = false;
-  bool sequential = false;
 };
 
 verify::SessionConfig session_config(const VerifyOptions& opts) {
   verify::SessionConfig config;  // default-constructed = sequential
-  if (!opts.sequential && !(opts.jobs == 1 && opts.window == 1)) {
+  if (opts.jobs != 1 || opts.window != 1) {
     config = verify::pipelined_config(opts.jobs);
     config.window = opts.window;
   }
@@ -231,7 +229,7 @@ void usage() {
       "  spiderctl demo   [prefixes] [updates]   full deployment + verification\n"
       "  spiderctl verify <as> [prefixes]        commit + verify one AS via the\n"
       "            [--jobs N] [--window N]       pipelined session engine\n"
-      "            [--no-cache] [--sequential]   (defaults: all cores, window 4)\n"
+      "            [--no-cache]                  (defaults: all cores, window 4)\n"
       "  spiderctl faults [prefixes]             run the fault matrix\n"
       "  spiderctl trace  [prefixes] [updates]   synthetic trace statistics\n"
       "  spiderctl mtt    <prefixes> [classes]   build + label an MTT\n"
@@ -266,8 +264,6 @@ int main(int argc, char** argv) {
             std::max(1u, static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
       } else if (std::strcmp(argv[i], "--no-cache") == 0) {
         opts.no_cache = true;
-      } else if (std::strcmp(argv[i], "--sequential") == 0) {
-        opts.sequential = true;
       } else if (!have_prefixes) {
         prefixes = static_cast<std::size_t>(std::strtoull(argv[i], nullptr, 10));
         have_prefixes = true;
