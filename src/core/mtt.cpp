@@ -47,14 +47,9 @@ Digest20 mtt_combine_children(const Digest20& c0, const Digest20& c1, const Dige
 }
 
 Digest20 mtt_prefix_label(const Digest20* bit_labels, std::size_t n) {
-  crypto::Sha512 h;
-  for (std::size_t i = 0; i < n; ++i) {
-    h.update(ByteSpan{bit_labels[i].data(), bit_labels[i].size()});
-  }
-  auto full = h.finish();
-  Digest20 out{};
-  std::copy(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(out.size()), out.begin());
-  return out;
+  // The labels are contiguous bytes, so the whole input is one span.
+  return crypto::digest20(ByteSpan{reinterpret_cast<const std::uint8_t*>(bit_labels),
+                                   n * sizeof(Digest20)});
 }
 
 int mtt_path_slot(const bgp::Prefix& prefix, std::size_t level) {

@@ -1,5 +1,6 @@
 #include "crypto/sha2.hpp"
 
+#include <bit>
 #include <cstring>
 
 #include "crypto/sha2_kernel.hpp"
@@ -53,17 +54,10 @@ constexpr std::uint32_t kK256[64] = {
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 inline std::uint32_t rotr32(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
-inline std::uint64_t rotr64(std::uint64_t x, int n) { return (x >> n) | (x << (64 - n)); }
 
 inline std::uint32_t load_be32(const std::uint8_t* p) {
   return (std::uint32_t(p[0]) << 24) | (std::uint32_t(p[1]) << 16) | (std::uint32_t(p[2]) << 8) |
          std::uint32_t(p[3]);
-}
-
-inline std::uint64_t load_be64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
 }
 
 inline void store_be32(std::uint8_t* p, std::uint32_t v) {
@@ -160,34 +154,142 @@ Sha256::Digest Sha256::hash(ByteSpan data) {
 
 // ---------------------------------------------------------------- SHA-512
 
+// The block kernel: one body, compiled twice.  sha512_blocks_portable runs
+// on any CPU; sha512_blocks_bmi2 is the same body under target("bmi2"),
+// where every rotate is a three-operand rorx that neither overwrites its
+// source nor touches the flags.  The state stays in registers across all
+// blocks of a call, the message schedule is a rolling 16-word window, and
+// the 80 rounds are unrolled at compile time.
+
+namespace {
+
+using u64 = std::uint64_t;
+
+[[gnu::always_inline]] inline u64 load_be64(const std::uint8_t* p) {
+  u64 v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap64(v);
+  return v;
+}
+
+/// Round J: extends the schedule (from round 16 on) into w[J % 16], then
+/// folds the round into the state.  Only d and h change; the caller
+/// rotates the eight roles instead of moving the words.  `bc` carries
+/// b ^ c in and a ^ b out: the next round's b ^ c, so Maj costs three
+/// operations instead of four.
+template <int J>
+[[gnu::always_inline]] inline void sha512_round(u64 a, u64 b, u64& d, u64 e, u64 f, u64 g, u64& h,
+                                                u64& bc, u64 (&w)[16]) {
+  if constexpr (J >= 16) {
+    const u64 w15 = w[(J - 15) & 15];
+    const u64 w2 = w[(J - 2) & 15];
+    w[J & 15] += (std::rotr(w15, 1) ^ std::rotr(w15, 8) ^ (w15 >> 7)) + w[(J - 7) & 15] +
+                 (std::rotr(w2, 19) ^ std::rotr(w2, 61) ^ (w2 >> 6));
+  }
+  const u64 t1 = h + detail::kSha512K[J] + w[J & 15] + (g ^ (e & (f ^ g))) +
+                 (std::rotr(e, 14) ^ std::rotr(e, 18) ^ std::rotr(e, 41));
+  const u64 ab = a ^ b;
+  d += t1;
+  h = t1 + (b ^ (ab & bc)) + (std::rotr(a, 28) ^ std::rotr(a, 34) ^ std::rotr(a, 39));
+  bc = ab;
+}
+
+/// Rounds J..J+7: after eight rounds every role is back on its own word.
+template <int J>
+[[gnu::always_inline]] inline void sha512_rounds8(u64& a, u64& b, u64& c, u64& d, u64& e, u64& f,
+                                                  u64& g, u64& h, u64& bc, u64 (&w)[16]) {
+  sha512_round<J + 0>(a, b, d, e, f, g, h, bc, w);
+  sha512_round<J + 1>(h, a, c, d, e, f, g, bc, w);
+  sha512_round<J + 2>(g, h, b, c, d, e, f, bc, w);
+  sha512_round<J + 3>(f, g, a, b, c, d, e, bc, w);
+  sha512_round<J + 4>(e, f, h, a, b, c, d, bc, w);
+  sha512_round<J + 5>(d, e, g, h, a, b, c, bc, w);
+  sha512_round<J + 6>(c, d, f, g, h, a, b, bc, w);
+  sha512_round<J + 7>(b, c, e, f, g, h, a, bc, w);
+}
+
+[[gnu::always_inline]] inline void sha512_blocks_body(u64 state[8], const std::uint8_t* data,
+                                                      std::size_t blocks) {
+  u64 a = state[0], b = state[1], c = state[2], d = state[3];
+  u64 e = state[4], f = state[5], g = state[6], h = state[7];
+  for (; blocks != 0; --blocks, data += 128) {
+    u64 w[16] = {load_be64(data),      load_be64(data + 8),   load_be64(data + 16),
+                 load_be64(data + 24), load_be64(data + 32),  load_be64(data + 40),
+                 load_be64(data + 48), load_be64(data + 56),  load_be64(data + 64),
+                 load_be64(data + 72), load_be64(data + 80),  load_be64(data + 88),
+                 load_be64(data + 96), load_be64(data + 104), load_be64(data + 112),
+                 load_be64(data + 120)};
+    const u64 a0 = a, b0 = b, c0 = c, d0 = d, e0 = e, f0 = f, g0 = g, h0 = h;
+    u64 bc = b ^ c;
+    sha512_rounds8<0>(a, b, c, d, e, f, g, h, bc, w);
+    sha512_rounds8<8>(a, b, c, d, e, f, g, h, bc, w);
+    sha512_rounds8<16>(a, b, c, d, e, f, g, h, bc, w);
+    sha512_rounds8<24>(a, b, c, d, e, f, g, h, bc, w);
+    sha512_rounds8<32>(a, b, c, d, e, f, g, h, bc, w);
+    sha512_rounds8<40>(a, b, c, d, e, f, g, h, bc, w);
+    sha512_rounds8<48>(a, b, c, d, e, f, g, h, bc, w);
+    sha512_rounds8<56>(a, b, c, d, e, f, g, h, bc, w);
+    sha512_rounds8<64>(a, b, c, d, e, f, g, h, bc, w);
+    sha512_rounds8<72>(a, b, c, d, e, f, g, h, bc, w);
+    a += a0;
+    b += b0;
+    c += c0;
+    d += d0;
+    e += e0;
+    f += f0;
+    g += g0;
+    h += h0;
+  }
+  state[0] = a;
+  state[1] = b;
+  state[2] = c;
+  state[3] = d;
+  state[4] = e;
+  state[5] = f;
+  state[6] = g;
+  state[7] = h;
+}
+
+}  // namespace
+
+namespace detail {
+
+void sha512_blocks_portable(std::uint64_t state[8], const std::uint8_t* data,
+                            std::size_t blocks) {
+  sha512_blocks_body(state, data, blocks);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+
+bool sha512_blocks_bmi2_supported() { return __builtin_cpu_supports("bmi2") != 0; }
+
+__attribute__((target("bmi2"))) void sha512_blocks_bmi2(std::uint64_t state[8],
+                                                        const std::uint8_t* data,
+                                                        std::size_t blocks) {
+  sha512_blocks_body(state, data, blocks);
+}
+
+#else  // stub: no BMI2 target on this toolchain or architecture
+
+bool sha512_blocks_bmi2_supported() { return false; }
+void sha512_blocks_bmi2(std::uint64_t state[8], const std::uint8_t* data, std::size_t blocks) {
+  sha512_blocks_portable(state, data, blocks);
+}
+
+#endif
+
+void sha512_blocks(std::uint64_t state[8], const std::uint8_t* data, std::size_t blocks) {
+  static const auto kernel =
+      sha512_blocks_bmi2_supported() ? &sha512_blocks_bmi2 : &sha512_blocks_portable;
+  kernel(state, data, blocks);
+}
+
+}  // namespace detail
+
 void Sha512::reset() {
   for (int i = 0; i < 8; ++i) state_[static_cast<std::size_t>(i)] = detail::kSha512Iv[i];
   total_len_ = 0;
   buffer_len_ = 0;
-}
-
-void Sha512::compress(const std::uint8_t* block) {
-  std::uint64_t w[80];
-  for (int i = 0; i < 16; ++i) w[i] = load_be64(block + 8 * i);
-  for (int i = 16; i < 80; ++i) {
-    std::uint64_t s0 = rotr64(w[i - 15], 1) ^ rotr64(w[i - 15], 8) ^ (w[i - 15] >> 7);
-    std::uint64_t s1 = rotr64(w[i - 2], 19) ^ rotr64(w[i - 2], 61) ^ (w[i - 2] >> 6);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint64_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint64_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 80; ++i) {
-    std::uint64_t s1 = rotr64(e, 14) ^ rotr64(e, 18) ^ rotr64(e, 41);
-    std::uint64_t ch = (e & f) ^ (~e & g);
-    std::uint64_t t1 = h + s1 + ch + detail::kSha512K[i] + w[i];
-    std::uint64_t s0 = rotr64(a, 28) ^ rotr64(a, 34) ^ rotr64(a, 39);
-    std::uint64_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint64_t t2 = s0 + maj;
-    h = g; g = f; f = e; e = d + t1;
-    d = c; c = b; b = a; a = t1 + t2;
-  }
-  state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-  state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
 }
 
 void Sha512::update(ByteSpan data) {
@@ -199,13 +301,15 @@ void Sha512::update(ByteSpan data) {
     buffer_len_ += take;
     off += take;
     if (buffer_len_ == buffer_.size()) {
-      compress(buffer_.data());
+      detail::sha512_blocks(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (data.size() - off >= 128) {
-    compress(data.data() + off);
-    off += 128;
+  // Every remaining full block goes to the kernel in one call.
+  const std::size_t blocks = (data.size() - off) / 128;
+  if (blocks != 0) {
+    detail::sha512_blocks(state_.data(), data.data() + off, blocks);
+    off += blocks * 128;
   }
   if (off < data.size()) {
     std::memcpy(buffer_.data(), data.data() + off, data.size() - off);
@@ -225,13 +329,13 @@ Sha512::Digest Sha512::finish() {
     // The 16-byte length no longer fits behind the marker: zero-fill and
     // compress this block, then put the length in a block of its own.
     std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
-    compress(buffer_.data());
+    detail::sha512_blocks(state_.data(), buffer_.data(), 1);
     buffer_len_ = 0;
   }
   // 128-bit length: high 8 bytes are zero for any message under 2^61 bytes.
   std::memset(buffer_.data() + buffer_len_, 0, 120 - buffer_len_);
   store_be64(buffer_.data() + 120, bit_len);
-  compress(buffer_.data());
+  detail::sha512_blocks(state_.data(), buffer_.data(), 1);
   Digest out{};
   for (int i = 0; i < 8; ++i) store_be64(out.data() + 8 * i, state_[i]);
   reset();

@@ -53,8 +53,6 @@ class Sha512 {
   static Digest hash(ByteSpan data);
 
  private:
-  void compress(const std::uint8_t* block);
-
   std::array<std::uint64_t, 8> state_{};
   std::array<std::uint8_t, 128> buffer_{};
   // Message lengths in this codebase never approach 2^64 bits, so a single

@@ -10,22 +10,33 @@ namespace spider::proto {
 using core::Detection;
 using core::FaultKind;
 
+namespace {
+
+/// Prefix -> the first item that carries it, so a duplicate prefix
+/// resolves to its first item, as a front-to-back scan would.
+template <typename Item>
+std::map<bgp::Prefix, const Item*> first_item_by_prefix(const std::vector<Item>& items) {
+  std::map<bgp::Prefix, const Item*> first;
+  for (const Item& item : items) first.emplace(item.prefix, &item);
+  return first;
+}
+
+}  // namespace
+
 std::optional<Detection> Checker::check_producer_proofs(
     const SpiderCommit& commit, bgp::AsNumber elector,
     const std::map<bgp::Prefix, std::vector<bgp::Route>>& my_window_routes,
     const ProducerProofs& proofs, const core::Classifier& classifier,
     const ProofVerifyFn& verify) {
   SPIDER_OBS_COUNT("spider/producer_checks", 1);
+  const auto items = first_item_by_prefix(proofs.items);
   for (const auto& [prefix, window] : my_window_routes) {
-    auto item_it = std::find_if(proofs.items.begin(), proofs.items.end(),
-                                [&](const ProducerProofs::Item& item) {
-                                  return item.prefix == prefix;
-                                });
-    if (item_it == proofs.items.end()) {
+    auto item_it = items.find(prefix);
+    if (item_it == items.end()) {
       return Detection{FaultKind::kMissingBitProof, elector,
                        "no proof for my route to " + prefix.str()};
     }
-    const ProducerProofs::Item& item = *item_it;
+    const ProducerProofs::Item& item = *item_it->second;
 
     // Loose sync: the elector may judge against any value I exported in
     // the window — but it must be one of mine.
@@ -65,16 +76,14 @@ std::optional<Detection> Checker::check_consumer_proofs(
     const std::map<bgp::Prefix, bgp::Route>& my_imports, const ConsumerProofs& proofs,
     bgp::AsNumber /*self*/, const core::Classifier& classifier, const ProofVerifyFn& verify) {
   SPIDER_OBS_COUNT("spider/consumer_checks", 1);
+  const auto items = first_item_by_prefix(proofs.items);
   for (const auto& [prefix, route] : my_imports) {
-    auto item_it = std::find_if(proofs.items.begin(), proofs.items.end(),
-                                [&](const ConsumerProofs::Item& item) {
-                                  return item.prefix == prefix;
-                                });
-    if (item_it == proofs.items.end()) {
+    auto item_it = items.find(prefix);
+    if (item_it == items.end()) {
       return Detection{FaultKind::kMissingBitProof, elector,
                        "no proofs for my route to " + prefix.str()};
     }
-    const ConsumerProofs::Item& item = *item_it;
+    const ConsumerProofs::Item& item = *item_it->second;
     if (!same_wire_route(item.offered_route, route)) {
       return Detection{FaultKind::kMalformedMessage, elector,
                        "proofs for " + prefix.str() + " cite a route I did not receive"};
@@ -111,15 +120,17 @@ std::optional<Detection> Checker::check_re_announcements(
     bgp::AsNumber elector, const std::map<bgp::Prefix, bgp::Route>& my_imports,
     const std::vector<SpiderAnnounce>& re_announcements) {
   SPIDER_OBS_COUNT("spider/re_announce_checks", 1);
+  std::multimap<bgp::Prefix, const SpiderAnnounce*> by_prefix;
+  for (const SpiderAnnounce& announce : re_announcements) {
+    if (announce.re_announce) by_prefix.emplace(announce.route.prefix, &announce);
+  }
   for (const auto& [prefix, route] : my_imports) {
     const bgp::Route underlying = underlying_route(route, elector);
     if (underlying.as_path.empty()) continue;  // elector originates it
-    bool covered = std::any_of(re_announcements.begin(), re_announcements.end(),
-                               [&](const SpiderAnnounce& announce) {
-                                 return announce.re_announce &&
-                                        announce.route.prefix == prefix &&
-                                        announce.route.as_path == underlying.as_path;
-                               });
+    const auto [first, last] = by_prefix.equal_range(prefix);
+    const bool covered = std::any_of(first, last, [&](const auto& entry) {
+      return entry.second->route.as_path == underlying.as_path;
+    });
     if (!covered) {
       return Detection{FaultKind::kBrokenPromise, elector,
                        "route to " + prefix.str() +

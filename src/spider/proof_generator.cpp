@@ -221,16 +221,20 @@ std::vector<SpiderAnnounce> ProofGenerator::select_re_announcements(
   auto exports_it = recon.state.exports().find(consumer);
   if (exports_it == recon.state.exports().end()) return selected;
 
+  // (producer, prefix) -> its announcements; equal keys keep their
+  // insertion order, which is set order, then list order.
+  std::multimap<std::pair<bgp::AsNumber, bgp::Prefix>, const SpiderAnnounce*> offered;
+  for (const ReAnnounceSet& set : sets) {
+    for (const SpiderAnnounce& announce : set.announcements) {
+      offered.emplace(std::pair{set.from_as, announce.route.prefix}, &announce);
+    }
+  }
   for (const auto& [prefix, record] : exports_it->second) {
     bgp::Route underlying = underlying_route(record.route, params_.config.asn);
     if (underlying.as_path.empty()) continue;  // locally originated
-    for (const ReAnnounceSet& set : sets) {
-      if (set.from_as != underlying.as_path.front()) continue;
-      for (const SpiderAnnounce& announce : set.announcements) {
-        if (announce.route.prefix == prefix && announce.route.as_path == underlying.as_path) {
-          selected.push_back(announce);
-        }
-      }
+    const auto [first, last] = offered.equal_range({underlying.as_path.front(), prefix});
+    for (auto it = first; it != last; ++it) {
+      if (it->second->route.as_path == underlying.as_path) selected.push_back(*it->second);
     }
   }
   return selected;

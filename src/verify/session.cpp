@@ -361,16 +361,22 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
   // the main thread consumes them in order, batch-checks signatures per
   // flush window, and runs the checkers through the memoizing verifier.
   const crypto::Signer& signer = elector_recorder.signer();
+  // Worker-thread spans have no parent: span nesting is per thread.
   auto run_round = [&](RoundTask& task) {
-    Prover::Round proved =
-        prover.round(task.plan->neighbor, task.round, task.round_count, task.filter);
-    task.producer = std::move(proved.producer);
-    task.consumer = std::move(proved.consumer);
-    // The signed bundle has the socket frame's layout, but its (round,
-    // round_count) number key-range chunks, not proof_round_of buckets:
-    // check_bundle would check it against the wrong prefixes.
-    task.payload_bytes = proved.frame.producer_proofs.size() + proved.frame.consumer_proofs.size();
-    task.bundle = proved.frame.encode();
+    {
+      SPIDER_OBS_SPAN(prove_span, "verify/prove_round");
+      Prover::Round proved =
+          prover.round(task.plan->neighbor, task.round, task.round_count, task.filter);
+      task.producer = std::move(proved.producer);
+      task.consumer = std::move(proved.consumer);
+      // The signed bundle has the socket frame's layout, but its (round,
+      // round_count) number key-range chunks, not proof_round_of buckets:
+      // check_bundle would check it against the wrong prefixes.
+      task.payload_bytes =
+          proved.frame.producer_proofs.size() + proved.frame.consumer_proofs.size();
+      task.bundle = proved.frame.encode();
+    }
+    SPIDER_OBS_SPAN(sign_span, "verify/sign_round");
     task.signature = signer.sign(ByteSpan{task.bundle.data(), task.bundle.size()});
   };
 
@@ -388,27 +394,31 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
   std::vector<RoundTask*> pending;  // consumed, awaiting a signature flush
   auto flush_signatures = [&]() {
     if (pending.empty()) return;
-    if (batch_key) {
-      std::vector<crypto::RsaVerifyItem> items;
-      items.reserve(pending.size());
-      for (RoundTask* task : pending) {
-        items.push_back({ByteSpan{task->bundle.data(), task->bundle.size()},
-                         ByteSpan{task->signature.data(), task->signature.size()}});
+    {
+      SPIDER_OBS_SPAN(flush_span, "verify/signature_flush");
+      if (batch_key) {
+        std::vector<crypto::RsaVerifyItem> items;
+        items.reserve(pending.size());
+        for (RoundTask* task : pending) {
+          items.push_back({ByteSpan{task->bundle.data(), task->bundle.size()},
+                           ByteSpan{task->signature.data(), task->signature.size()}});
+        }
+        const std::vector<bool> ok = crypto::rsa_verify_batch(*batch_key, items);
+        for (std::size_t i = 0; i < pending.size(); ++i) pending[i]->signature_ok = ok[i];
+        ++stats.signature_batches;
+      } else {
+        for (RoundTask* task : pending) {
+          task->signature_ok =
+              deploy.keys().verify(elector, ByteSpan{task->bundle.data(), task->bundle.size()},
+                                   ByteSpan{task->signature.data(), task->signature.size()});
+        }
       }
-      const std::vector<bool> ok = crypto::rsa_verify_batch(*batch_key, items);
-      for (std::size_t i = 0; i < pending.size(); ++i) pending[i]->signature_ok = ok[i];
-      ++stats.signature_batches;
-    } else {
-      for (RoundTask* task : pending) {
-        task->signature_ok =
-            deploy.keys().verify(elector, ByteSpan{task->bundle.data(), task->bundle.size()},
-                                 ByteSpan{task->signature.data(), task->signature.size()});
-      }
+      stats.signatures_verified += pending.size();
     }
-    stats.signatures_verified += pending.size();
 
     // Run the checkers for the flushed rounds, in round order; the first
     // detection per (neighbor, role) wins.
+    SPIDER_OBS_SPAN(check_span, "verify/check_round");
     for (RoundTask* task : pending) {
       NeighborPlan& plan = *task->plan;
       RoundDetections found;
@@ -464,6 +474,7 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
   for (RoundTask& task : tasks) {
     submit_ready();
     {
+      SPIDER_OBS_SPAN(wait_span, "verify/wait_round");
       std::unique_lock<std::mutex> lock(mu);
       cv.wait(lock, [&] { return task.done; });
     }
@@ -496,6 +507,7 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
     verdict.as_producer = plan.producer_detection;
     verdict.as_consumer = plan.consumer_detection;
     if (extended) {
+      SPIDER_OBS_SPAN(extended_span, "verify/extended");
       auto selected = prover.select_re_announcements(plan.neighbor, re_sets);
       verdict.extended =
           proto::Checker::check_re_announcements(elector, plan.view->imports, selected);

@@ -21,6 +21,7 @@
 #include "crypto/random.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha2.hpp"
+#include "crypto/sha2_multi.hpp"
 #include "spider/evidence.hpp"
 #include "spider/log.hpp"
 #include "spider/messages.hpp"
@@ -597,6 +598,35 @@ void crypto_diff_check(ByteSpan data) {
   }
 }
 
+/// Streaming SHA-512 oracle: the first bytes pick up to seven split
+/// points, the rest is the message.  Feeding the stream at those points,
+/// the one-shot hash and a three-message lane group must agree.
+void sha512_stream_check(ByteSpan data) {
+  su::ByteReader r(data);
+  std::vector<std::size_t> cuts(r.u8() % std::size_t{8});
+  for (std::size_t& cut : cuts) cut = r.u16();
+  const Bytes msg = r.raw(r.remaining());
+  const ByteSpan whole{msg.data(), msg.size()};
+  cuts.push_back(0);
+  for (std::size_t& cut : cuts) cut %= msg.size() + 1;
+  cuts.push_back(msg.size());
+  std::sort(cuts.begin(), cuts.end());
+  scr::Sha512 stream;
+  for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+    stream.update(whole.subspan(cuts[c], cuts[c + 1] - cuts[c]));
+  }
+  const scr::Sha512::Digest one_shot = scr::Sha512::hash(whole);
+  if (stream.finish() != one_shot) {
+    throw std::logic_error("sha512_stream: streaming SHA-512 disagrees with one-shot");
+  }
+  const ByteSpan group[3] = {whole, whole, whole};
+  scr::Sha512::Digest lanes[3];
+  scr::sha512_batch(group, 3, lanes);
+  if (lanes[0] != one_shot || lanes[1] != one_shot || lanes[2] != one_shot) {
+    throw std::logic_error("sha512_stream: lane SHA-512 disagrees with one-shot");
+  }
+}
+
 void register_crypto_targets() {
   scr::RsaPublicKey key;
   key.n = scr::BigInt::from_bytes_be(su::str_bytes("\x9a\x3f\x52\xee\x01\x77\xc2\x19"));
@@ -631,6 +661,15 @@ void register_crypto_targets() {
   diff.reencode = nullptr;
   diff.canonical = false;
   registry().push_back(std::move(diff));
+
+  Target stream;
+  stream.name = "sha512_stream";
+  // 3 split points (5, 130, 256), then a message of 3 blocks and a tail.
+  stream.corpus = {cat(Bytes{3, 0, 5, 0, 130, 1, 0}, rand_bytes(3 * 128 + 17))};
+  stream.decode = sha512_stream_check;
+  stream.reencode = nullptr;
+  stream.canonical = false;
+  registry().push_back(std::move(stream));
 }
 
 }  // namespace

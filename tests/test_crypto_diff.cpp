@@ -1,7 +1,7 @@
 // Differential battery for the limb-array crypto engine: every fast kernel
 // (schoolbook/Karatsuba multiply, squaring, Knuth-D division, CIOS
 // Montgomery multiplication, windowed exponentiation, RSA-CRT signing,
-// multi-lane SHA-512) is cross-checked against the retained reference
+// one-message and multi-lane SHA-512) is cross-checked against the retained reference
 // implementations (crypto/bignum_ref.hpp) over seeded random operands and
 // adversarial shapes: all-ones limbs, top-bit-set limbs, zero/one/modulus±1
 // operands, powers of two, carry-chain stressors.
@@ -11,6 +11,7 @@
 // tests up via `ctest -R Tsan`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <map>
 #include <optional>
@@ -27,6 +28,7 @@
 #include "crypto/random.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha2.hpp"
+#include "crypto/sha2_kernel.hpp"
 #include "crypto/sha2_multi.hpp"
 #include "util/rng.hpp"
 
@@ -406,6 +408,66 @@ TEST(CryptoDiffSha512, EmptyAndSingletonBatches) {
   sc::Sha512::Digest out;
   sc::sha512_batch(&span, 1, &out);
   EXPECT_EQ(out, sc::Sha512::hash(span));
+}
+
+TEST(CryptoDiffSha512, KernelBuildsAgreeOnUnalignedMultiBlockRuns) {
+  // Both builds of the one-message kernel and the dispatched entry point,
+  // over runs of up to 512 blocks (64 KiB) starting at every offset mod 8.
+  SplitMix64 rng(314159);
+  Bytes data(512 * 128 + 8);
+  for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.next());
+  const bool bmi2 = sc::detail::sha512_blocks_bmi2_supported();
+  for (std::size_t blocks : {1u, 2u, 3u, 7u, 8u, 15u, 16u, 63u, 64u, 255u, 512u}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      std::uint64_t portable[8], dispatched[8], rorx[8];
+      for (int w = 0; w < 8; ++w) {
+        portable[w] = dispatched[w] = rorx[w] = sc::detail::kSha512Iv[w];
+      }
+      const std::uint8_t* start = data.data() + offset;
+      sc::detail::sha512_blocks_portable(portable, start, blocks);
+      sc::detail::sha512_blocks(dispatched, start, blocks);
+      EXPECT_TRUE(std::equal(portable, portable + 8, dispatched))
+          << "blocks=" << blocks << " offset=" << offset;
+      if (bmi2) {
+        sc::detail::sha512_blocks_bmi2(rorx, start, blocks);
+        EXPECT_TRUE(std::equal(portable, portable + 8, rorx))
+            << "blocks=" << blocks << " offset=" << offset;
+      }
+    }
+  }
+}
+
+TEST(CryptoDiffSha512, StreamingSplitsMatchOneShotAndLanes) {
+  // Messages up to 64 KiB at unaligned starts: the one-shot hash, the
+  // stream fed at random split points, and the multi-lane batcher (three
+  // equal-length messages form one lane group wherever lanes exist) agree.
+  SplitMix64 rng(271828);
+  Bytes data(65536 + 16);
+  for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.next());
+  std::vector<std::size_t> lens = {0, 1, 111, 112, 127, 128, 129, 255, 256, 1000, 4096, 65536};
+  for (int i = 0; i < 24; ++i) lens.push_back(rng.below(65537));
+  for (std::size_t len : lens) {
+    const std::size_t offset = rng.below(16);
+    const ByteSpan msg{data.data() + offset, len};
+    const sc::Sha512::Digest one_shot = sc::Sha512::hash(msg);
+
+    std::vector<std::size_t> cuts = {0, len};
+    for (std::size_t c = rng.below(8); c > 0; --c) cuts.push_back(rng.below(len + 1));
+    std::sort(cuts.begin(), cuts.end());
+    sc::Sha512 stream;
+    for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+      stream.update(msg.subspan(cuts[c], cuts[c + 1] - cuts[c]));
+    }
+    EXPECT_EQ(stream.finish(), one_shot) << "len=" << len << " offset=" << offset;
+
+    const ByteSpan group[3] = {msg, ByteSpan{data.data() + (offset + 1) % 16, len},
+                               ByteSpan{data.data() + (offset + 2) % 16, len}};
+    sc::Sha512::Digest lanes[3];
+    sc::sha512_batch(group, 3, lanes);
+    EXPECT_EQ(lanes[0], one_shot) << "len=" << len << " offset=" << offset;
+    EXPECT_EQ(lanes[1], sc::Sha512::hash(group[1])) << "len=" << len;
+    EXPECT_EQ(lanes[2], sc::Sha512::hash(group[2])) << "len=" << len;
+  }
 }
 
 // ------------------------------------------------- batched label paths

@@ -4,7 +4,9 @@
 // baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "netreview/auditor.hpp"
 #include "spider/checker.hpp"
@@ -337,6 +339,58 @@ TEST(SpiderIntegration, ConsumerProofsSatisfyHonestNeighbors) {
   }
 }
 
+TEST(SpiderIntegration, DuplicatePrefixProofsAreJudgedByTheFirstItem) {
+  // The checkers look each prefix up once; a proof set that carries one
+  // prefix twice is judged by its first item, whichever copy is bad.
+  World world;
+  const auto& record = world.commit_as5();
+  sp::ProofGenerator generator(world.deploy.recorder(5));
+  auto recon = generator.reconstruct(record.timestamp);
+
+  // Producer role: a misclassified copy of AS 2's first item.
+  const auto producer_proofs = generator.proofs_for_producer(recon, 2);
+  ASSERT_FALSE(producer_proofs.items.empty());
+  auto misclassified = producer_proofs.items.front();
+  misclassified.cls = (misclassified.cls + 1) % 10;
+  const auto pcommit = world.commit_seen_by(2, record.timestamp);
+  const auto& classifier2 = world.deploy.recorder(2).classifier();
+  auto bad_first = producer_proofs;
+  bad_first.items.insert(bad_first.items.begin(), misclassified);
+  auto detection =
+      sp::Checker::check_producer_proofs(pcommit, 5, world.window_of(2), bad_first, classifier2);
+  ASSERT_TRUE(detection.has_value());
+  EXPECT_EQ(detection->kind, sc::FaultKind::kMalformedMessage);
+  EXPECT_NE(detection->detail.find(misclassified.prefix.str()), std::string::npos);
+  auto bad_second = producer_proofs;
+  bad_second.items.push_back(misclassified);
+  EXPECT_FALSE(
+      sp::Checker::check_producer_proofs(pcommit, 5, world.window_of(2), bad_second, classifier2)
+          .has_value());
+
+  // Consumer role: a copy of AS 6's first item that cites a route AS 6
+  // never received.
+  const auto consumer_proofs = generator.proofs_for_consumer(recon, 6);
+  ASSERT_FALSE(consumer_proofs.items.empty());
+  auto miscited = consumer_proofs.items.front();
+  miscited.offered_route.as_path.push_back(64512);
+  const auto ccommit = world.commit_seen_by(6, record.timestamp);
+  const auto& rec6 = world.deploy.recorder(6);
+  auto cbad_first = consumer_proofs;
+  cbad_first.items.insert(cbad_first.items.begin(), miscited);
+  detection = sp::Checker::check_consumer_proofs(ccommit, 5, sc::Promise::total_order(10),
+                                                 rec6.my_imports_from(5), cbad_first, 6,
+                                                 rec6.classifier());
+  ASSERT_TRUE(detection.has_value());
+  EXPECT_EQ(detection->kind, sc::FaultKind::kMalformedMessage);
+  EXPECT_NE(detection->detail.find(miscited.prefix.str()), std::string::npos);
+  auto cbad_second = consumer_proofs;
+  cbad_second.items.push_back(miscited);
+  EXPECT_FALSE(sp::Checker::check_consumer_proofs(ccommit, 5, sc::Promise::total_order(10),
+                                                  rec6.my_imports_from(5), cbad_second, 6,
+                                                  rec6.classifier())
+                   .has_value());
+}
+
 // ------------------------------------------------- §7.4 fault injections
 
 TEST(SpiderIntegration, Fault1_OveraggressiveFilterDetectedByProducer) {
@@ -480,6 +534,101 @@ TEST(SpiderIntegration, ExtendedVerificationCatchesUnpropagatedWithdrawal) {
   auto detection = sp::Checker::check_re_announcements(5, imports_before, selected);
   ASSERT_TRUE(detection.has_value());
   EXPECT_EQ(detection->kind, sc::FaultKind::kBrokenPromise);
+}
+
+TEST(SpiderIntegration, IndexedReAnnouncementLookupsMatchTheBruteForceScans) {
+  // select_re_announcements and check_re_announcements index by prefix;
+  // their output order and verdicts must equal the nested scans they
+  // replace, kept here as the reference.
+  World world;
+  const auto& record = world.commit_as5();
+  sp::ProofGenerator generator(world.deploy.recorder(5));
+  auto recon = generator.reconstruct(record.timestamp);
+
+  // Every producer's set, then a reversed second set from each producer
+  // (same from_as) whose copies alternate between a decoy path and
+  // re_announce = false, so equal keys interleave across sets.
+  std::vector<sp::ReAnnounceSet> sets;
+  for (sb::AsNumber producer : world.deploy.neighbors_of(5)) {
+    sets.push_back(sp::build_re_announce_set(world.deploy.recorder(producer), 5,
+                                             record.timestamp));
+  }
+  const std::size_t producers = sets.size();
+  for (std::size_t i = 0; i < producers; ++i) {
+    sp::ReAnnounceSet extra = sets[i];
+    std::reverse(extra.announcements.begin(), extra.announcements.end());
+    for (std::size_t j = 0; j < extra.announcements.size(); ++j) {
+      if (j % 2 == 0) extra.announcements[j].route.as_path.push_back(64512);
+      if (j % 3 == 0) extra.announcements[j].re_announce = false;
+    }
+    sets.push_back(std::move(extra));
+  }
+
+  auto brute_select = [&](sb::AsNumber consumer) {
+    std::vector<sp::SpiderAnnounce> selected;
+    auto exports_it = recon.state.exports().find(consumer);
+    if (exports_it == recon.state.exports().end()) return selected;
+    for (const auto& [prefix, export_record] : exports_it->second) {
+      const sb::Route underlying = sp::underlying_route(export_record.route, 5);
+      if (underlying.as_path.empty()) continue;
+      for (const sp::ReAnnounceSet& set : sets) {
+        if (set.from_as != underlying.as_path.front()) continue;
+        for (const sp::SpiderAnnounce& announce : set.announcements) {
+          if (announce.route.prefix == prefix && announce.route.as_path == underlying.as_path) {
+            selected.push_back(announce);
+          }
+        }
+      }
+    }
+    return selected;
+  };
+  // The first import no announcement covers, or nullopt.
+  auto brute_uncovered = [](const std::map<sb::Prefix, sb::Route>& imports,
+                            const std::vector<sp::SpiderAnnounce>& announcements)
+      -> std::optional<sb::Prefix> {
+    for (const auto& [prefix, route] : imports) {
+      const sb::Route underlying = sp::underlying_route(route, 5);
+      if (underlying.as_path.empty()) continue;
+      bool covered = false;
+      for (const sp::SpiderAnnounce& announce : announcements) {
+        covered = covered || (announce.re_announce && announce.route.prefix == prefix &&
+                              announce.route.as_path == underlying.as_path);
+      }
+      if (!covered) return prefix;
+    }
+    return std::nullopt;
+  };
+
+  std::size_t compared = 0;
+  for (sb::AsNumber consumer : world.deploy.neighbors_of(5)) {
+    auto selected = generator.select_re_announcements(recon, consumer, sets);
+    const auto expected = brute_select(consumer);
+    ASSERT_EQ(selected.size(), expected.size()) << "AS" << consumer;
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+      EXPECT_EQ(selected[i].encode(), expected[i].encode()) << "AS" << consumer << " #" << i;
+    }
+    compared += selected.size();
+
+    // Verdicts over the full selection, over every other announcement,
+    // and over the selection with its re_announce flags cleared.
+    const auto imports = world.deploy.recorder(consumer).my_imports_from(5);
+    std::vector<sp::SpiderAnnounce> thinned, unflagged;
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+      if (i % 2 == 0) thinned.push_back(selected[i]);
+      unflagged.push_back(selected[i]);
+      unflagged.back().re_announce = false;
+    }
+    for (const auto* announcements : {&selected, &thinned, &unflagged}) {
+      const auto detection = sp::Checker::check_re_announcements(5, imports, *announcements);
+      const auto uncovered = brute_uncovered(imports, *announcements);
+      ASSERT_EQ(detection.has_value(), uncovered.has_value()) << "AS" << consumer;
+      if (uncovered) {
+        EXPECT_EQ(detection->kind, sc::FaultKind::kBrokenPromise);
+        EXPECT_NE(detection->detail.find(uncovered->str()), std::string::npos);
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u);
 }
 
 // ------------------------------------------------------------- NetReview

@@ -16,6 +16,7 @@
 //   spider_bench --all --baseline BENCH_baseline.json
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -584,6 +585,19 @@ json::Object run_crypto(const benchutil::BenchScale&) {
     const util::Bytes data = pattern_bytes(size);
     row(size == 64 ? "SHA-512 (64 B)" : "SHA-512 (1 KiB)",
         us_per_op(20'000, [&](int) { keep(crypto::Sha512::hash(data)); }), "us/op");
+  }
+  {
+    // The checker's per-proof prefix-node label: 50 bit-node labels of 20
+    // bytes hashed as one span.
+    std::vector<util::Digest20> labels(50);
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      const util::Bytes bytes = pattern_bytes(sizeof(util::Digest20), i * 20);
+      std::copy(bytes.begin(), bytes.end(), labels[i].begin());
+    }
+    row("SHA-512 (1000 B, prefix-node input)", us_per_op(20'000, [&](int) {
+          keep(core::mtt_prefix_label(labels.data(), labels.size()));
+        }),
+        "us/op");
   }
   const util::Bytes block = pattern_bytes(65536);
   row("SHA-512 throughput (64 KiB blocks)",
